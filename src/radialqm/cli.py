@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, RadialQMError
-from .oracle.report import validation_report
 from .radial.model import Dimension, PhysicalScales
 from .solvers import (
     closure_check,
@@ -391,6 +390,9 @@ _HANDLERS = {
 def run(config: RunConfig) -> int:
     """Execute one validated invocation; returns the exit code."""
     if config.command == "validate":
+        # the oracle pulls in scipy.linalg, which no other command needs
+        from .oracle.report import validation_report
+
         report = validation_report(config.scales)
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["all_converged"] else 3

@@ -506,7 +506,8 @@ def _discrepancies(sc: PhysicalScales) -> List[Dict]:
     )
 
     level, root = finite_well_bound_spectrum(dim2, 18.0, 1.0, sc)[0]
-    q = math.sqrt(36.0 - level.eps)
+    v0 = sc.reduced_potential(18.0)
+    q = math.sqrt(v0 - level.eps)
     kp = math.sqrt(level.eps)
     nu = dim2.nu
     printed_res = kp * (
@@ -520,7 +521,7 @@ def _discrepancies(sc: PhysicalScales) -> List[Dict]:
             "implemented": "interior factors at q = sqrt(v0 - |eps|) R, exterior at "
             "kappa = sqrt(|eps|) R: q J_(nu+1)(q) K_nu(kappa) = kappa K_(nu+1)(kappa) J_nu(q)",
             "evidence": {
-                "v0": 36.0,
+                "v0": v0,
                 "R": 1.0,
                 "root_eps_magnitude": level.eps,
                 "interior_argument": q,

@@ -69,7 +69,12 @@ def _certified_t0(p: float, amp: float, t_start: float, budget: float) -> tuple[
     """
     t0 = max(t_start, 2.0 * max(p, 0.5), 1.0)
     for _ in range(600):
-        bound = 2.0 * amp * t0**p * math.exp(-t0)
+        try:
+            bound = 2.0 * amp * t0**p * math.exp(-t0)
+        except OverflowError:
+            # t0**p is past the double range: test the bound in logs
+            log_bound = math.log(2.0 * amp) + p * math.log(t0) - t0
+            bound = math.exp(log_bound) if log_bound <= math.log(budget) else math.inf
         if bound <= budget:
             return t0, bound
         t0 *= 1.2

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from ..errors import DomainError, OriginDivergenceError
+from ..errors import ComputationError, DomainError, OriginDivergenceError
 from ..specfun import (
     bessel_i,
     bessel_j,
@@ -56,6 +56,17 @@ IRREGULAR_TAGS = frozenset({BESSEL_Y, BESSEL_K, HANKEL_1, HANKEL_2})
 GAUSS_TAGS = frozenset({GAUSS_LAGUERRE, GAUSS_HERMITE})
 
 Coefficient = Union[float, complex]
+
+
+
+def _radial_power(r: float, nu: float) -> float:
+    """r^(-nu), the factor that turns Z_nu(k r) into a radial mode."""
+    try:
+        return r ** (-nu)
+    except OverflowError:
+        raise ComputationError(
+            f"r^(-nu) leaves the double range at r = {r:.3g}, order {nu}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -117,7 +128,7 @@ class Piece:
         x = self.scale * r
         if r == 0.0:
             return self._origin_value(tag, nu)
-        radial_power = r ** (-nu)
+        radial_power = _radial_power(r, nu)
         if tag == BESSEL_J:
             return radial_power * bessel_j(nu, x).value
         if tag == BESSEL_Y:
@@ -161,7 +172,7 @@ class Piece:
             raise OriginDivergenceError(
                 f"form {tag} is singular (or parity-odd) at the origin"
             )
-        radial_power = r ** (-nu)
+        radial_power = _radial_power(r, nu)
         if tag == BESSEL_J:
             return -k * radial_power * bessel_j(nu + 1.0, x).value
         if tag == BESSEL_Y:

@@ -9,7 +9,9 @@ for the interior and outgoing amplitudes with a unit incoming wave.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from typing import Optional, Tuple
 
 from ..errors import ComputationError, DomainError, MatchingError
@@ -36,8 +38,13 @@ _COEFF_LIMIT = 650.0
 def _ik_product(nu: float, x: float) -> float:
     """I_nu(x) K_nu(x) without overflow at large argument."""
     if x <= 600.0:
-        return bessel_i(nu, x).value * bessel_k(nu, x).value
-    return scaled_bessel_i(nu, x).value * scaled_bessel_k(nu, x).value
+        product = bessel_i(nu, x).value * bessel_k(nu, x).value
+    else:
+        product = scaled_bessel_i(nu, x).value * scaled_bessel_k(nu, x).value
+    if not math.isfinite(product):
+        # at high order I underflows where K overflows
+        raise ComputationError(f"I K product leaves the double range at order {nu}, x = {x:.3g}")
+    return product
 
 
 def _check_shell(gamma: float, R: float) -> Tuple[float, float]:
@@ -53,7 +60,11 @@ def _check_shell(gamma: float, R: float) -> Tuple[float, float]:
 def delta_bound_energy(
     dim: Dimension, gamma: float, R: float, scales: PhysicalScales
 ) -> Optional[Tuple[EnergyLevel, TranscendentalRoot]]:
-    """The unique attractive-shell level, or None below the coupling threshold."""
+    """The unique attractive-shell level, or None below the coupling threshold.
+
+    Only nu > 0 has a threshold, gamma R <= 2 nu.  Every other coupling
+    binds, and a level too shallow for doubles raises ComputationError.
+    """
     gamma, R = _check_shell(gamma, R)
     nu = dim.nu
     gr = gamma * R
@@ -70,13 +81,21 @@ def delta_bound_energy(
         x_lo = min(x_lo, 0.02 * gr)
     x_lo = max(x_lo, 1e-300)
     x_hi = 0.75 * gr + 10.0
-    found = scan_roots(f, log_grid(x_lo, x_hi, 512))
+    # the product decreases for every order >= -1/2, so 8 samples per decade
+    # bracket the one crossing; index bisection then finds its 512-per-decade cell
+    found = scan_roots(f, log_grid(x_lo, x_hi, 512), stride=64)
     if not found:
-        return None
+        # a level exists here (nu <= 0, or gamma R above 2 nu) but lies below the scan
+        edge = ", at the edge of the double range" if x_lo == 1e-300 else ""
+        raise ComputationError(f"the shell level lies below kappa R = {x_lo:.3g}{edge}")
     if len(found) > 1:
         raise ComputationError("shell product condition crossed more than once")
     x, fx, (xa, xb) = found[0]
     eps_mag = (x / R) ** 2
+    if eps_mag < sys.float_info.min:
+        raise ComputationError(
+            f"the shell level kappa R = {x:.3g} squares below the double range"
+        )
     bracket = tuple(sorted(((xa / R) ** 2, (xb / R) ** 2)))
     root = TranscendentalRoot(eps=eps_mag, residual=fx, bracket=bracket)
     return EnergyLevel.bound_magnitude(1, -eps_mag, scales), root
@@ -141,6 +160,9 @@ def delta_scattering(
         raise MatchingError("interface system is singular at this energy")
     a = (r1 * m22 - m12 * r2) / det
     b = (m11 * r2 - r1 * m21) / det
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        # Y_nu overflows, or J_nu Y_nu products do, at high order and small kR
+        raise ComputationError("interface solve leaves the double range at this order and kR")
     t1 = math.pi * g * R * j0 * y0
     t2 = math.pi * g * R * j0 * j0 - 2.0
     return ScatteringResult(

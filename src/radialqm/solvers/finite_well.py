@@ -13,6 +13,7 @@ interior and outgoing amplitudes against a unit incoming wave.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Callable, List, Tuple
 
@@ -85,7 +86,8 @@ def finite_well_bound_spectrum(
     residual, local_scale = _residual_factory(nu, Q, R)
     t_hi = Q * _EDGE
     grid = uniform_grid(t_hi * 1e-6, t_hi, 0.25 * math.pi)
-    found = scan_roots(residual, grid)
+    # a zero where both terms underflow (high order, small t) is no root
+    found = [root for root in scan_roots(residual, grid) if local_scale(root[0]) > 0.0]
     out: List[Tuple[EnergyLevel, TranscendentalRoot]] = []
     for N, (t, res, (ta, tb)) in enumerate(found, start=1):
         eps_mag = (Q * Q - t * t) / (R * R)
@@ -172,6 +174,9 @@ def finite_well_scattering(
         raise ComputationError("interface system is singular at this energy")
     a = (r1 * m22 - m12 * r2) / det
     b = (m11 * r2 - r1 * m21) / det
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        # Y_nu overflows, or J_nu Y_nu products do, at high order and small kR
+        raise ComputationError("interface solve leaves the double range at this order and kR")
     # printed closed form, kept verbatim for comparison
     E = scales.physical_energy(eps)
     mu_ratio = math.sqrt(V0 / E + 1.0) if V0 > 0.0 else 1.0

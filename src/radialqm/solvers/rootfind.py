@@ -3,27 +3,48 @@
 Grids bracket every sign change at the scan resolution; bisection then
 shrinks each bracket to floating-point width, so the reported root is
 accurate to a few ulp whenever the residual is continuous.
+
+A scan may sample only every stride-th grid point.  Each sampled sign
+change is then bisected over grid indices down to the one grid cell that
+holds it, so the root comes out exactly as a full scan of the grid would
+give it, provided no sampled interval holds more than one crossing.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import ComputationError, DomainError
 
 RootRecord = Tuple[float, float, Tuple[float, float]]
 
 
-def log_grid(lo: float, hi: float, per_decade: int = 512) -> List[float]:
+class LogGrid(Sequence[float]):
+    """Geometric grid lo * exp(i * step) for i < count, then hi; items made on demand."""
+
+    def __init__(self, lo: float, hi: float, count: int) -> None:
+        self._lo = lo
+        self._hi = hi
+        self._count = count
+        self._step = math.log(hi / lo) / count
+
+    def __len__(self) -> int:
+        return self._count + 1
+
+    def __getitem__(self, i: int) -> float:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i <= self._count:
+            raise IndexError("log grid index out of range")
+        return self._hi if i == self._count else self._lo * math.exp(i * self._step)
+
+
+def log_grid(lo: float, hi: float, per_decade: int = 512) -> LogGrid:
     """Geometric grid from lo to hi with at least per_decade points per decade."""
     if not (0.0 < lo < hi):
         raise DomainError(f"log grid needs 0 < lo < hi, got {lo!r}, {hi!r}")
     span = math.log10(hi / lo)
-    count = max(int(math.ceil(span * per_decade)), 8)
-    step = math.log(hi / lo) / count
-    grid = [lo * math.exp(i * step) for i in range(count)]
-    grid.append(hi)
-    return grid
+    return LogGrid(lo, hi, max(int(math.ceil(span * per_decade)), 8))
 
 
 def uniform_grid(lo: float, hi: float, max_step: float, min_points: int = 64) -> List[float]:
@@ -66,22 +87,71 @@ def bisect(
     return root, f_root, (a, b)
 
 
-def scan_roots(f: Callable[[float], float], grid: Sequence[float]) -> List[RootRecord]:
-    """All bracketed roots of f on an increasing grid, bisected to full width."""
-    values = [f(x) for x in grid]
+def scan_roots(
+    f: Callable[[float], float], grid: Sequence[float], stride: int = 1
+) -> List[RootRecord]:
+    """Bracketed roots of f on an increasing grid, bisected to full width.
+
+    f is evaluated at every stride-th grid point and at the last one.  A
+    sign change between two samples is narrowed by bisecting over grid
+    indices to the grid cell that holds it, then bisected in floating
+    point from that cell.  An exact zero on a grid point is reported once
+    per run of zeros, at the run's first point, bracketed by its grid
+    neighbours.  With stride 1 every grid point is evaluated.
+    """
+    if stride < 1:
+        raise DomainError(f"scan stride must be >= 1, got {stride!r}")
+    size = len(grid)
+    values: Dict[int, float] = {}
+
+    def value(i: int) -> float:
+        if i not in values:
+            values[i] = f(grid[i])
+        return values[i]
+
+    samples = list(range(0, size, stride))
+    if samples and samples[-1] != size - 1:
+        samples.append(size - 1)
+    for i in samples:
+        value(i)
+
     out: List[RootRecord] = []
-    for i in range(len(grid) - 1):
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            if i == 0 or values[i - 1] != 0.0:
-                left = grid[i - 1] if i > 0 else grid[i]
-                out.append((grid[i], 0.0, (left, grid[i + 1])))
+
+    def zero_at(i: int, floor: int) -> None:
+        # report the run of zeros that ends at i at its first point, unless
+        # the run reaches back to floor, a sample where it was reported
+        end = i
+        while i > floor and value(i - 1) == 0.0:
+            i -= 1
+        if i == floor < end:
+            return
+        left = grid[i - 1] if i > 0 else grid[i]
+        right = grid[i + 1] if i + 1 < size else grid[i]
+        out.append((grid[i], 0.0, (left, right)))
+
+    for j, a in enumerate(samples):
+        if values[a] == 0.0:
+            zero_at(a, samples[j - 1] if j > 0 else 0)
+        if j + 1 == len(samples):
+            break
+        # a crossing lies between nonzero points: step off zeros at either end
+        lo, hi = a, samples[j + 1]
+        while lo < hi and value(lo) == 0.0:
+            lo += 1
+        while hi > lo and value(hi) == 0.0:
+            hi -= 1
+        if lo == hi or (values[lo] > 0.0) == (values[hi] > 0.0):
             continue
-        if fb == 0.0:
-            continue
-        if (fa > 0.0) != (fb > 0.0):
-            out.append(bisect(f, grid[i], grid[i + 1], fa, fb))
-    if values and values[-1] == 0.0 and (len(values) == 1 or values[-2] != 0.0):
-        left = grid[-2] if len(grid) > 1 else grid[-1]
-        out.append((grid[-1], 0.0, (left, grid[-1])))
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = value(mid)
+            if fm == 0.0:
+                zero_at(mid, lo)
+                break
+            if (fm > 0.0) == (values[lo] > 0.0):
+                lo = mid
+            else:
+                hi = mid
+        else:
+            out.append(bisect(f, grid[lo], grid[hi], values[lo], values[hi]))
     return out

@@ -1,7 +1,7 @@
 """Energies at which the confined-region intensity hits a target value.
 
 The intensity oscillates on a scale set by the interface phase kR, so
-the bracketing grid is log-spaced with its density raised until steps
+the bracketing scan samples a log-spaced grid densely enough that steps
 stay well inside one oscillation period at the top of the range.
 """
 from __future__ import annotations
@@ -53,7 +53,11 @@ def quantized_transmission_energies(
         raise DomainError(f"unsupported problem type {type(problem).__name__}")
 
     residual = lambda eps: intensity(eps) - T_target
-    # keep the top-of-range step below an eighth of the kR oscillation
-    per_decade = max(512, int(math.ceil(8.0 * math.sqrt(hi) * R * math.log(10.0) / math.pi)))
-    found = scan_roots(residual, log_grid(lo, hi, per_decade))
+    # sample so the top-of-range step stays below an eighth of the kR
+    # oscillation; crossings are then located on the 512-per-decade grid
+    kr_per_decade = int(math.ceil(8.0 * math.sqrt(hi) * R * math.log(10.0) / math.pi))
+    per_decade = max(512, kr_per_decade)
+    found = scan_roots(
+        residual, log_grid(lo, hi, per_decade), stride=per_decade // kr_per_decade
+    )
     return [eps for eps, _, _ in found]

@@ -13,6 +13,7 @@ time by an Euler-Maclaurin tail formula; nothing here calls a library gamma.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 EULER = 0.5772156649015328606
@@ -43,11 +44,14 @@ def _sinhc(y: float) -> float:
     return math.sinh(y) / y
 
 
+@functools.lru_cache(maxsize=64)
 def gamma_pair_small(mu: float):
     """(g1, g2, rg_plus, rg_minus) for |mu| <= 1/2.
 
     rg_plus = 1/Gamma(1+mu), rg_minus = 1/Gamma(1-mu).  Accurate to a few
     ulp uniformly in mu, including mu = 0 where g1 -> -euler and g2 -> 1.
+    Memoized: callers pass the fractional part of an order, so few
+    distinct mu recur.
     """
     if abs(mu) > 0.5 + 1e-12:
         raise ValueError("gamma_pair_small requires |mu| <= 1/2")

@@ -21,13 +21,21 @@ from .gammafn import gamma_fn
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
+_LOG_MAX = math.log(1.7976931348623157e308)
 _MAX_SERIES = 2600
 
 
 def _i_series(nu: float, x: float):
     """(I_nu, I'_nu, est) by the ascending series; x > 0."""
     g = gamma_fn(nu + 1.0)
-    seed = (0.5 * x) ** nu / g.value
+    try:
+        seed = (0.5 * x) ** nu / g.value
+    except OverflowError:
+        # (x/2)^nu alone leaves the double range; the ratio may not
+        log_seed = nu * math.log(0.5 * x) - math.log(g.value)
+        if log_seed > _LOG_MAX:
+            return math.inf, math.inf, math.inf
+        seed = math.exp(log_seed)
     if seed == 0.0:
         return 0.0, 0.0, 5e-324
     z = 0.25 * x * x
@@ -40,7 +48,8 @@ def _i_series(nu: float, x: float):
             return math.inf, math.inf, math.inf
         terms.append(t)
         dterms.append(t * (nu + 2.0 * (k + 1.0)) / x)
-        if t < 1e-18 * terms[0] or (k > z and t < 1e-18 * max(terms)):
+        # t == 0 stops a series whose seed is so small that 1e-18 * seed underflows
+        if t < 1e-18 * terms[0] or (k > z and t < 1e-18 * max(terms)) or t == 0.0:
             break
     else:
         raise ComputationError("modified series did not converge")

@@ -59,7 +59,8 @@ def _j_series(nu: float, x: float):
         terms.append(t)
         dterms.append(t * (nu + 2.0 * (k + 1.0)) / x)
         peak = max(peak, abs(t))
-        if abs(t) < 1e-18 * peak and k >= 2:
+        # t == 0 stops a series whose peak is so small that 1e-18 * peak underflows
+        if (abs(t) < 1e-18 * peak or t == 0.0) and k >= 2:
             break
     else:
         raise ComputationError("first-kind series did not converge")

@@ -160,6 +160,32 @@ def test_validate_emits_json_regardless_of_format():
     assert doc["discrepancies"]
 
 
+def test_shell_level_below_the_double_range_exits_3():
+    code, out, err = run_cli(["spectrum", "--problem", "delta-shell", "--n", "1",
+                              "--gamma", "0.001", "--radius", "1"])
+    assert code == 3 and out == ""
+    assert "double range" in json.loads(err)["error"]["message"]
+
+
+def test_import_leaves_the_oracle_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, radialqm.cli; "
+         "print([m for m in sys.modules if m.startswith(('radialqm.oracle', 'scipy'))])"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"
+
+
+def test_validate_at_other_masses():
+    for mass in (1.25, 2.0):
+        code, out, _ = run_cli(["validate", "--mass", str(mass)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_converged"] is True
+        ledger = {entry["id"]: entry for entry in doc["discrepancies"]}
+        assert ledger["finite_well_printed_arguments"]["evidence"]["v0"] == 36.0 * mass
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "radialqm.cli", "spectrum", "--problem", "infinite-well",

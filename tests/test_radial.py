@@ -164,3 +164,14 @@ def test_norm_integral_rejects_bad_tolerance(scales):
     psi = oscillator_wavefunction(Dimension(2), 1.0, 0, scales)
     with pytest.raises(Exception):
         norm_integral(psi, math.inf, 0.0)
+
+
+def test_high_oscillator_mode_certifies_its_tail(scales):
+    # t0**p of the tail bound overflows a double here; mpmath gives the mode
+    import mpmath
+
+    psi = oscillator_wavefunction(Dimension(2), 1.0, 52, scales)
+    norm = mpmath.sqrt(2 * mpmath.factorial(52) / mpmath.gamma(53.5))
+    for r in (3.0, 9.0, 15.0):
+        want = float(norm * mpmath.laguerre(52, 0.5, r * r) * mpmath.exp(-r * r / 2))
+        assert abs(psi.sample(r)) == pytest.approx(abs(want), rel=1e-9)

@@ -5,12 +5,13 @@ import math
 
 import pytest
 
-from radialqm.errors import DomainError
+from radialqm.errors import ComputationError, DomainError
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.solvers import (
     delta_bound_energy,
     delta_bound_wavefunction,
     finite_well_bound_spectrum,
+    finite_well_bound_wavefunction,
     infinite_well_spectrum,
     oscillator_spectrum,
 )
@@ -128,6 +129,31 @@ def test_shell_threshold_is_sharp(scales):
     weak = delta_bound_energy(Dimension(0), 0.3, 1.0, scales)
     assert weak is not None
     assert weak[0].eps == pytest.approx(0.05874673350544825, rel=1e-9)
+
+
+def test_shell_level_beyond_the_double_range_is_an_error(scales):
+    # nu <= 0 always binds; these levels sit below the smallest doubles
+    for n, gamma in ((1, 0.001), (1, 0.0015), (1, 0.002), (0, 1e-305)):
+        with pytest.raises(ComputationError, match="double range"):
+            delta_bound_energy(Dimension(n), gamma, 1.0, scales)
+    # just above the n = 2 threshold the level is shallower than the scan reaches
+    with pytest.raises(ComputationError, match="below kappa R = 1e-08"):
+        delta_bound_energy(Dimension(2), 1.0 + 1e-10, 1.0, scales)
+    # a weak n = 1 coupling still in range: kappa R = 2 exp(-euler - 1/(gamma R))
+    lv, _ = delta_bound_energy(Dimension(1), 0.005, 1.0, scales)
+    kappa = 2.0 * math.exp(-0.5772156649015329 - 200.0)
+    assert lv.eps == pytest.approx(kappa * kappa, rel=1e-10)
+
+
+def test_high_order_underflow_is_no_level(scales):
+    # J_nu underflows at small t for nu = 149.5: a zero residual there is no root,
+    # and Q = 100 lies below the first zero of J_nu, so no level binds
+    assert finite_well_bound_spectrum(Dimension(300), 5000.0, 1.0, scales) == []
+    with pytest.raises(ComputationError, match="double range"):
+        delta_bound_energy(Dimension(300), 2000.0, 1.0, scales)
+    # at n = 250 the first level binds, but r^(-nu) of its mode overflows
+    with pytest.raises(ComputationError, match="double range"):
+        finite_well_bound_wavefunction(Dimension(250), 50000.0, 1.0, 1, scales)
 
 
 def test_shell_coupling_validation(scales):

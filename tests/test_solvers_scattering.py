@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from radialqm.errors import DomainError
+from radialqm.errors import ComputationError, DomainError
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import DeltaShell, FiniteWell
 from radialqm.solvers import (
@@ -99,3 +99,13 @@ def test_intensity_target_validation(scales):
         quantized_transmission_energies(DeltaShell(1.0, 1, 1.0), Dimension(1), 4.0, (3.0, 1.0), scales)
     with pytest.raises(DomainError):
         quantized_transmission_energies("shell", Dimension(1), 4.0, (0.5, 10.0), scales)
+
+
+def test_high_order_scattering_overflow_is_an_error(scales):
+    # Y_150.5(1) overflows a double, and at n = 200, kR = 0.7 the J Y products
+    # do; either way the interface solve would give NaN
+    for n, eps in ((300, 1.0), (200, 0.5)):
+        with pytest.raises(ComputationError, match="double range"):
+            delta_scattering(Dimension(n), 3.0, 1.0, eps, scales)
+        with pytest.raises(ComputationError, match="double range"):
+            finite_well_scattering(Dimension(n), 5.0, 1.0, eps, scales)

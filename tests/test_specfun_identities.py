@@ -158,3 +158,25 @@ def test_kummer_domain_errors():
         kummer_m(1.0, -2.0, 0.5)
     with pytest.raises(ComputationError):
         kummer_u(0.3, 2.0, 1.0)
+
+
+def test_series_converge_where_the_stop_test_would_underflow():
+    # the leading term 2.1e-307 times 1e-18 underflows to 0
+    import mpmath
+
+    for kernel, ref in ((bessel_i, mpmath.besseli), (bessel_j, mpmath.besselj)):
+        got = kernel(149.5, 1.0).value
+        want = float(ref(149.5, 1.0))
+        assert 2.0e-307 < want < 2.2e-307
+        assert abs(got - want) <= 1e-12 * want
+    # (x/2)^nu alone overflows here, I itself does not
+    want = float(mpmath.besseli(149.5, 600.0))
+    assert abs(bessel_i(149.5, 600.0).value - want) <= 1e-12 * want
+
+
+def test_gamma_pair_small_memo_returns_the_computed_tuple():
+    from radialqm.specfun._temme import gamma_pair_small
+
+    assert gamma_pair_small.cache_info().maxsize is not None
+    for mu in (0.0, -0.0, 0.5, -0.5, 0.25, 1e-9, 0.25):
+        assert gamma_pair_small(mu) == gamma_pair_small.__wrapped__(mu)
