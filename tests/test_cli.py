@@ -193,3 +193,134 @@ def test_console_script_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1,9.86960440109,")
+
+
+_SP = ["spectrum", "--n", "2", "--problem"]
+_WF = ["wavefunction", "--n", "2", "--problem"]
+_SC = ["scattering", "--n", "2", "--radius", "1", "--eps-from", "1", "--eps-to", "2",
+       "--steps", "3", "--problem"]
+_CL = ["closure", "--n", "2", "--k", "1"]
+
+# every validation branch once: argv, exact error message (all exit 2)
+_REJECTED = [
+    # units, checked before any command
+    (["zeros", "--nu", "1", "--count", "2", "--hbar", "0"],
+     "--hbar must be positive and finite, got 0.0"),
+    (["zeros", "--nu", "1", "--count", "2", "--hbar", "nan"],
+     "--hbar must be positive and finite, got nan"),
+    (["zeros", "--nu", "1", "--count", "2", "--mass", "-1"],
+     "--mass must be positive and finite, got -1.0"),
+    (["zeros", "--nu", "1", "--count", "2", "--mass", "inf"],
+     "--mass must be positive and finite, got inf"),
+    # spectrum
+    (["spectrum", "--n", "-1", "--problem", "harmonic", "--levels", "2"],
+     "--n must be >= 0, got -1"),
+    (_SP + ["infinite-well", "--levels", "2"],
+     "--radius is required for --problem infinite-well"),
+    (_SP + ["infinite-well", "--radius", "0", "--levels", "2"],
+     "--radius must be positive and finite, got 0.0"),
+    (_SP + ["infinite-well", "--radius", "1"], "--levels is required"),
+    (_SP + ["infinite-well", "--radius", "1", "--levels", "0"], "--levels must be >= 1, got 0"),
+    (_SP + ["harmonic", "--omega", "0", "--levels", "2"],
+     "--omega must be positive and finite, got 0.0"),
+    (_SP + ["harmonic"], "--levels is required"),
+    (_SP + ["harmonic", "--levels", "-3"], "--levels must be >= 1, got -3"),
+    (_SP + ["finite-well", "--radius", "1"], "--v0 is required for --problem finite-well"),
+    (_SP + ["finite-well", "--v0", "-5", "--radius", "1"],
+     "--v0 must be positive and finite, got -5.0"),
+    (_SP + ["finite-well", "--v0", "5"], "--radius is required for --problem finite-well"),
+    (_SP + ["finite-well", "--v0", "5", "--radius", "inf"],
+     "--radius must be positive and finite, got inf"),
+    (_SP + ["finite-well", "--v0", "5", "--radius", "1", "--levels", "0"],
+     "--levels must be >= 1, got 0"),
+    (_SP + ["delta-shell", "--radius", "1"], "--gamma is required for --problem delta-shell"),
+    (_SP + ["delta-shell", "--gamma", "0", "--radius", "1"],
+     "--gamma must be positive and finite, got 0.0"),
+    (_SP + ["delta-shell", "--gamma", "3"], "--radius is required for --problem delta-shell"),
+    (_SP + ["delta-shell", "--gamma", "3", "--radius", "-2"],
+     "--radius must be positive and finite, got -2.0"),
+    # wavefunction
+    (["wavefunction", "--n", "-2", "--problem", "harmonic", "--level", "1"],
+     "--n must be >= 0, got -2"),
+    (_WF + ["harmonic", "--level", "1", "--samples", "1"], "--samples must be >= 2, got 1"),
+    (_WF + ["infinite-well", "--level", "1"], "--radius is required for --problem infinite-well"),
+    (_WF + ["infinite-well", "--radius", "0", "--level", "1"],
+     "--radius must be positive and finite, got 0.0"),
+    (_WF + ["infinite-well", "--radius", "1"], "--level is required"),
+    (_WF + ["infinite-well", "--radius", "1", "--level", "0"], "--level must be >= 1, got 0"),
+    (_WF + ["harmonic", "--omega", "-1", "--level", "1"],
+     "--omega must be positive and finite, got -1.0"),
+    (_WF + ["harmonic"], "--level is required"),
+    (_WF + ["harmonic", "--level", "-1"], "--level must be >= 0, got -1"),
+    (_WF + ["finite-well", "--radius", "1", "--level", "1"],
+     "--v0 is required for --problem finite-well"),
+    (_WF + ["finite-well", "--v0", "0", "--radius", "1", "--level", "1"],
+     "--v0 must be positive and finite, got 0.0"),
+    (_WF + ["finite-well", "--v0", "5", "--level", "1"],
+     "--radius is required for --problem finite-well"),
+    (_WF + ["finite-well", "--v0", "5", "--radius", "0", "--level", "1"],
+     "--radius must be positive and finite, got 0.0"),
+    (_WF + ["finite-well", "--v0", "5", "--radius", "1"], "--level is required"),
+    (_WF + ["finite-well", "--v0", "5", "--radius", "1", "--level", "0"],
+     "--level must be >= 1, got 0"),
+    (_WF + ["delta-shell", "--radius", "1"], "--gamma is required for --problem delta-shell"),
+    (_WF + ["delta-shell", "--gamma", "-3", "--radius", "1"],
+     "--gamma must be positive and finite, got -3.0"),
+    (_WF + ["delta-shell", "--gamma", "3"], "--radius is required for --problem delta-shell"),
+    (_WF + ["delta-shell", "--gamma", "3", "--radius", "0"],
+     "--radius must be positive and finite, got 0.0"),
+    (_WF + ["delta-shell", "--gamma", "3", "--radius", "1", "--level", "0"],
+     "--level must be >= 1, got 0"),
+    (_WF + ["harmonic", "--level", "1", "--r-max", "0"],
+     "--r-max must be positive and finite, got 0.0"),
+    # scattering
+    (["scattering", "--n", "-1", "--radius", "1", "--eps-from", "1", "--eps-to", "2",
+      "--steps", "3", "--problem", "finite-well", "--v0", "5"], "--n must be >= 0, got -1"),
+    (["scattering", "--n", "2", "--radius", "0", "--eps-from", "1", "--eps-to", "2",
+      "--steps", "3", "--problem", "finite-well", "--v0", "5"],
+     "--radius must be positive and finite, got 0.0"),
+    (_SC + ["delta-shell"], "--gamma is required for --problem delta-shell"),
+    (_SC + ["delta-shell", "--gamma", "0"], "--gamma must be positive and finite, got 0.0"),
+    (_SC + ["finite-well"], "--v0 is required for --problem finite-well"),
+    (_SC + ["finite-well", "--v0", "0"], "--v0 must be positive and finite, got 0.0"),
+    (["scattering", "--n", "2", "--radius", "1", "--eps-from", "0", "--eps-to", "2",
+      "--steps", "3", "--problem", "finite-well", "--v0", "5"],
+     "--eps-from must be positive and finite, got 0.0"),
+    (["scattering", "--n", "2", "--radius", "1", "--eps-from", "1", "--eps-to", "-2",
+      "--steps", "3", "--problem", "finite-well", "--v0", "5"],
+     "--eps-to must be positive and finite, got -2.0"),
+    (["scattering", "--n", "2", "--radius", "1", "--eps-from", "2", "--eps-to", "1",
+      "--steps", "3", "--problem", "delta-shell", "--gamma", "1"],
+     "--eps-to must be >= --eps-from, got 1.0 < 2.0"),
+    (["scattering", "--n", "2", "--radius", "1", "--eps-from", "1", "--eps-to", "2",
+      "--steps", "0", "--problem", "delta-shell", "--gamma", "1"],
+     "--steps must be >= 1, got 0"),
+    # zeros
+    (["zeros", "--nu", "-1", "--count", "2"], "--nu must be >= -0.5, got -1.0"),
+    (["zeros", "--nu", "inf", "--count", "2"], "--nu must be >= -0.5, got inf"),
+    (["zeros", "--nu", "1", "--count", "0"], "--count must be >= 1, got 0"),
+    # closure
+    (["closure", "--n", "-1", "--k", "1", "--k-prime", "1"], "--n must be >= 0, got -1"),
+    (["closure", "--n", "2", "--k", "0", "--k-prime", "1"],
+     "--k must be positive and finite, got 0.0"),
+    (_CL + ["--k-prime", "1", "--r-max", "-1"], "--r-max must be positive and finite, got -1.0"),
+    (_CL + ["--k-prime", "1", "--width", "0"], "--width must be positive and finite, got 0.0"),
+    (_CL + ["--k-prime", "0"], "--k-prime must be positive and finite, got 0.0"),
+    (_CL, "--k-prime-from is required (or pass --k-prime)"),
+    (_CL + ["--k-prime-from", "0"], "--k-prime-from must be positive and finite, got 0.0"),
+    (_CL + ["--k-prime-from", "1"], "--k-prime-to is required (or pass --k-prime)"),
+    (_CL + ["--k-prime-from", "1", "--k-prime-to", "inf"],
+     "--k-prime-to must be positive and finite, got inf"),
+    (_CL + ["--k-prime-from", "2", "--k-prime-to", "1", "--steps", "3"],
+     "--k-prime-to must be >= --k-prime-from"),
+    (_CL + ["--k-prime-from", "1", "--k-prime-to", "2"], "--steps is required"),
+    (_CL + ["--k-prime-from", "1", "--k-prime-to", "2", "--steps", "0"],
+     "--steps must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REJECTED, ids=[" ".join(a) for a, _ in _REJECTED])
+def test_every_rejected_parameter_has_a_pinned_message(argv, message):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"code": 2, "message": message}}
