@@ -13,9 +13,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, RadialQMError
+from .errors import DomainError, RadialQMError, require_count, require_positive
 from .radial.model import Dimension, PhysicalScales
 from .solvers import (
     closure_check,
@@ -30,7 +30,7 @@ from .solvers import (
     oscillator_spectrum,
     oscillator_wavefunction,
 )
-from .specfun import bessel_j_zero
+from .specfun import bessel_j_zeros
 
 _SPECTRUM_PROBLEMS = ("infinite-well", "harmonic", "finite-well", "delta-shell")
 _SCATTERING_PROBLEMS = ("delta-shell", "finite-well")
@@ -111,115 +111,128 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive(name: str, value: Optional[float], what: str) -> float:
-    if value is None:
-        raise DomainError(f"{name} is required {what}")
-    if not (value > 0.0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+# A check takes (flag, value, params so far) and returns the value to
+# store under the flag's dest, or None to leave the key out.
+Check = Callable[[str, object, Dict[str, object]], object]
+
+
+def _as_is(flag: str, value: object, params: Dict[str, object]) -> object:
+    return value
+
+
+def _positive(note: str = "") -> Check:
+    def check(flag: str, value: object, params: Dict[str, object]) -> float:
+        if value is None:
+            raise DomainError(f"{flag} is required {note}")
+        return require_positive(flag, value)
+
+    return check
+
+
+def _count(minimum: int, default: Optional[int] = None) -> Check:
+    def check(flag: str, value: object, params: Dict[str, object]) -> int:
+        if value is None:
+            value = default
+        if value is None:
+            raise DomainError(f"{flag} is required")
+        return require_count(flag, value, minimum)
+
+    return check
+
+
+def _order(flag: str, value: object, params: Dict[str, object]) -> float:
+    if not (value >= -0.5 and math.isfinite(value)):
+        raise DomainError(f"{flag} must be >= -0.5, got {value!r}")
     return float(value)
 
 
-def _dimension(n: int) -> Dimension:
-    if n < 0:
-        raise DomainError(f"--n must be >= 0, got {n}")
-    return Dimension(n)
+def _optional(check: Check) -> Check:
+    return lambda flag, value, params: None if value is None else check(flag, value, params)
 
 
-def _check_counts(name: str, value: Optional[int], minimum: int) -> int:
-    if value is None:
-        raise DomainError(f"{name} is required")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
+def _unless(dest: str, check: Check) -> Check:
+    return lambda flag, value, params: None if dest in params else check(flag, value, params)
+
+
+def _not_below(lo_dest: str, message: str, check: Check) -> Check:
+    """check, then message (formatted with value, low end) if below params[lo_dest]."""
+
+    def ordered(flag: str, value: object, params: Dict[str, object]) -> object:
+        value = check(flag, value, params)
+        if value < params[lo_dest]:
+            raise DomainError(message.format(value, params[lo_dest]))
+        return value
+
+    return ordered
+
+
+def _needed_for(problem: str) -> Check:
+    return _positive(f"for --problem {problem}")
+
+
+# flags whose dest is not the flag name with dashes as underscores
+_FLAGS = {"kp_from": "--k-prime-from", "kp_to": "--k-prime-to"}
+
+# the shape parameters of each problem, in the order they are checked
+_SHAPE = {
+    "infinite-well": (("radius", _needed_for("infinite-well")),),
+    "harmonic": (("omega", _needed_for("harmonic")),),
+    "finite-well": (("v0", _needed_for("finite-well")), ("radius", _needed_for("finite-well"))),
+    "delta-shell": (("gamma", _needed_for("delta-shell")), ("radius", _needed_for("delta-shell"))),
+}
+_HEAD = (("problem", _as_is), ("n", _count(0)))
+_WAVE = _HEAD + (("samples", _count(2)),)
+_R_MAX = ("r_max", _optional(_positive()))
+_SCAN = (
+    ("eps_from", _positive()),
+    ("eps_to", _not_below("eps_from", "--eps-to must be >= --eps-from, got {!r} < {!r}", _positive())),
+    ("steps", _count(1)),
+)
+_SCAN_PARTNERS = _positive("(or pass --k-prime)")
+
+# (command, problem) -> (dest, check) rows, checked and stored in order;
+# JSON output echoes params in this order
+_VALIDATION: Dict[Tuple[str, Optional[str]], Tuple[Tuple[str, Check], ...]] = {
+    ("spectrum", "infinite-well"): _HEAD + _SHAPE["infinite-well"] + (("levels", _count(1)),),
+    ("spectrum", "harmonic"): _HEAD + _SHAPE["harmonic"] + (("levels", _count(1)),),
+    ("spectrum", "finite-well"): _HEAD + _SHAPE["finite-well"] + (("levels", _optional(_count(1))),),
+    ("spectrum", "delta-shell"): _HEAD + _SHAPE["delta-shell"] + (("sign", _as_is),),
+    ("wavefunction", "infinite-well"): _WAVE + _SHAPE["infinite-well"] + (("level", _count(1)), _R_MAX),
+    ("wavefunction", "harmonic"): _WAVE + _SHAPE["harmonic"] + (("level", _count(0)), _R_MAX),
+    ("wavefunction", "finite-well"): _WAVE + _SHAPE["finite-well"] + (("level", _count(1)), _R_MAX),
+    ("wavefunction", "delta-shell"): _WAVE + _SHAPE["delta-shell"] + (("level", _count(1, default=1)), _R_MAX),
+    ("scattering", "delta-shell"): _HEAD
+    + (("radius", _positive()), ("gamma", _needed_for("delta-shell")), ("sign", _as_is)) + _SCAN,
+    ("scattering", "finite-well"): _HEAD
+    + (("radius", _positive()), ("v0", _needed_for("finite-well"))) + _SCAN,
+    ("zeros", None): (("nu", _order), ("count", _count(1))),
+    ("closure", None): (
+        ("n", _count(0)),
+        ("k", _positive()),
+        ("r_max", _positive()),
+        ("width", _positive()),
+        ("k_prime", _optional(_positive())),
+        ("kp_from", _unless("k_prime", _SCAN_PARTNERS)),
+        ("kp_to", _unless("k_prime", _not_below("kp_from", "--k-prime-to must be >= --k-prime-from",
+                                                  _SCAN_PARTNERS))),
+        ("steps", _unless("k_prime", _count(1))),
+    ),
+    ("validate", None): (),
+}
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     """Parse and validate; argparse diagnostics name the offending flag."""
     args = _build_parser().parse_args(argv)
-    if not (args.hbar > 0.0 and math.isfinite(args.hbar)):
-        raise DomainError(f"--hbar must be positive and finite, got {args.hbar!r}")
-    if not (args.mass > 0.0 and math.isfinite(args.mass)):
-        raise DomainError(f"--mass must be positive and finite, got {args.mass!r}")
-    scales = PhysicalScales(hbar=args.hbar, mass=args.mass)
+    scales = PhysicalScales(
+        hbar=require_positive("--hbar", args.hbar), mass=require_positive("--mass", args.mass)
+    )
     params: Dict[str, object] = {}
-
-    if args.command == "spectrum":
-        _dimension(args.n)
-        params["problem"] = args.problem
-        params["n"] = args.n
-        if args.problem == "infinite-well":
-            params["radius"] = _positive("--radius", args.radius, "for --problem infinite-well")
-            params["levels"] = _check_counts("--levels", args.levels, 1)
-        elif args.problem == "harmonic":
-            params["omega"] = _positive("--omega", args.omega, "for --problem harmonic")
-            params["levels"] = _check_counts("--levels", args.levels, 1)
-        elif args.problem == "finite-well":
-            params["v0"] = _positive("--v0", args.v0, "for --problem finite-well")
-            params["radius"] = _positive("--radius", args.radius, "for --problem finite-well")
-            if args.levels is not None:
-                params["levels"] = _check_counts("--levels", args.levels, 1)
-        else:
-            params["gamma"] = _positive("--gamma", args.gamma, "for --problem delta-shell")
-            params["radius"] = _positive("--radius", args.radius, "for --problem delta-shell")
-            params["sign"] = args.sign
-    elif args.command == "wavefunction":
-        _dimension(args.n)
-        params["problem"] = args.problem
-        params["n"] = args.n
-        params["samples"] = _check_counts("--samples", args.samples, 2)
-        if args.problem == "infinite-well":
-            params["radius"] = _positive("--radius", args.radius, "for --problem infinite-well")
-            params["level"] = _check_counts("--level", args.level, 1)
-        elif args.problem == "harmonic":
-            params["omega"] = _positive("--omega", args.omega, "for --problem harmonic")
-            params["level"] = _check_counts("--level", args.level, 0)
-        elif args.problem == "finite-well":
-            params["v0"] = _positive("--v0", args.v0, "for --problem finite-well")
-            params["radius"] = _positive("--radius", args.radius, "for --problem finite-well")
-            params["level"] = _check_counts("--level", args.level, 1)
-        else:
-            params["gamma"] = _positive("--gamma", args.gamma, "for --problem delta-shell")
-            params["radius"] = _positive("--radius", args.radius, "for --problem delta-shell")
-            params["level"] = _check_counts("--level", args.level if args.level is not None else 1, 1)
-        if args.r_max is not None:
-            params["r_max"] = _positive("--r-max", args.r_max, "")
-    elif args.command == "scattering":
-        _dimension(args.n)
-        params["problem"] = args.problem
-        params["n"] = args.n
-        params["radius"] = _positive("--radius", args.radius, "")
-        if args.problem == "delta-shell":
-            params["gamma"] = _positive("--gamma", args.gamma, "for --problem delta-shell")
-            params["sign"] = args.sign
-        else:
-            params["v0"] = _positive("--v0", args.v0, "for --problem finite-well")
-        eps_from = _positive("--eps-from", args.eps_from, "")
-        eps_to = _positive("--eps-to", args.eps_to, "")
-        if eps_to < eps_from:
-            raise DomainError(f"--eps-to must be >= --eps-from, got {eps_to!r} < {eps_from!r}")
-        params["eps_from"] = eps_from
-        params["eps_to"] = eps_to
-        params["steps"] = _check_counts("--steps", args.steps, 1)
-    elif args.command == "zeros":
-        if not (args.nu >= -0.5 and math.isfinite(args.nu)):
-            raise DomainError(f"--nu must be >= -0.5, got {args.nu!r}")
-        params["nu"] = float(args.nu)
-        params["count"] = _check_counts("--count", args.count, 1)
-    elif args.command == "closure":
-        _dimension(args.n)
-        params["n"] = args.n
-        params["k"] = _positive("--k", args.k, "")
-        params["r_max"] = _positive("--r-max", args.r_max, "")
-        params["width"] = _positive("--width", args.width, "")
-        if args.k_prime is not None:
-            params["k_prime"] = _positive("--k-prime", args.k_prime, "")
-        else:
-            params["kp_from"] = _positive("--k-prime-from", args.kp_from, "(or pass --k-prime)")
-            params["kp_to"] = _positive("--k-prime-to", args.kp_to, "(or pass --k-prime)")
-            if params["kp_to"] < params["kp_from"]:
-                raise DomainError("--k-prime-to must be >= --k-prime-from")
-            params["steps"] = _check_counts("--steps", args.steps, 1)
-
+    for dest, check in _VALIDATION[(args.command, getattr(args, "problem", None))]:
+        flag = _FLAGS.get(dest, "--" + dest.replace("_", "-"))
+        value = check(flag, getattr(args, dest), params)
+        if value is not None:
+            params[dest] = value
     return RunConfig(command=args.command, fmt=args.format, scales=scales, params=params)
 
 
@@ -282,6 +295,13 @@ def _spectrum_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     return rows, None
 
 
+def _linspace(lo: float, hi: float, steps: int) -> List[float]:
+    if steps == 1:
+        return [lo]
+    h = (hi - lo) / (steps - 1)
+    return [lo + i * h for i in range(steps)]
+
+
 def _sample_grid(r_max: float, samples: int) -> List[float]:
     # half-step offset keeps the endpoints off r = 0 and off the wall
     h = r_max / samples
@@ -320,15 +340,8 @@ def _scattering_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     p = config.params
     dim = Dimension(int(p["n"]))
     sc = config.scales
-    steps = int(p["steps"])
-    eps_from, eps_to = float(p["eps_from"]), float(p["eps_to"])
-    if steps == 1:
-        grid = [eps_from]
-    else:
-        h = (eps_to - eps_from) / (steps - 1)
-        grid = [eps_from + i * h for i in range(steps)]
     rows = []
-    for eps in grid:
+    for eps in _linspace(float(p["eps_from"]), float(p["eps_to"]), int(p["steps"])):
         if p["problem"] == "delta-shell":
             result = delta_scattering(
                 dim, int(p["sign"]) * float(p["gamma"]), float(p["radius"]), eps, sc
@@ -344,7 +357,7 @@ def _scattering_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
 def _zeros_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     nu = float(config.params["nu"])
     count = int(config.params["count"])
-    return [(N, bessel_j_zero(nu, N)) for N in range(1, count + 1)], None
+    return list(enumerate(bessel_j_zeros(nu, count), start=1)), None
 
 
 def _closure_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
@@ -356,13 +369,7 @@ def _closure_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     if "k_prime" in p:
         partners = [float(p["k_prime"])]
     else:
-        steps = int(p["steps"])
-        lo, hi = float(p["kp_from"]), float(p["kp_to"])
-        if steps == 1:
-            partners = [lo]
-        else:
-            h = (hi - lo) / (steps - 1)
-            partners = [lo + i * h for i in range(steps)]
+        partners = _linspace(float(p["kp_from"]), float(p["kp_to"]), int(p["steps"]))
     rows = []
     for kp in partners:
         probe = closure_check(dim, k, kp, r_max, width)
@@ -370,20 +377,13 @@ def _closure_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     return rows, None
 
 
-_COLUMNS = {
-    "spectrum": ("level", "eps", "energy"),
-    "wavefunction": ("r", "psi"),
-    "scattering": ("eps", "interior_intensity", "exterior_reflection", "paper_T"),
-    "zeros": ("index", "zero"),
-    "closure": ("k", "k_prime", "r_max", "width", "value"),
-}
-
-_HANDLERS = {
-    "spectrum": _spectrum_rows,
-    "wavefunction": _wavefunction_rows,
-    "scattering": _scattering_rows,
-    "zeros": _zeros_rows,
-    "closure": _closure_rows,
+# command -> (CSV header / JSON keys, row builder)
+_COMMANDS = {
+    "spectrum": (("level", "eps", "energy"), _spectrum_rows),
+    "wavefunction": (("r", "psi"), _wavefunction_rows),
+    "scattering": (("eps", "interior_intensity", "exterior_reflection", "paper_T"), _scattering_rows),
+    "zeros": (("index", "zero"), _zeros_rows),
+    "closure": (("k", "k_prime", "r_max", "width", "value"), _closure_rows),
 }
 
 
@@ -396,8 +396,9 @@ def run(config: RunConfig) -> int:
         report = validation_report(config.scales)
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
         return 0 if report["all_converged"] else 3
-    rows, note = _HANDLERS[config.command](config)
-    _emit(config, _COLUMNS[config.command], rows, note)
+    columns, build = _COMMANDS[config.command]
+    rows, note = build(config)
+    _emit(config, columns, rows, note)
     return 0
 
 

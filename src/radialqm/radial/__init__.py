@@ -17,17 +17,14 @@ from .model import (
     whittaker_form_constant,
 )
 from .norms import energy_functional, norm_integral, normalize
-from .quadrature import integrate, integrate_complex
+from .quadrature import integrate
 from .wavefunction import (
     ALL_TAGS,
     BESSEL_I,
     BESSEL_J,
     BESSEL_K,
-    BESSEL_Y,
     GAUSS_HERMITE,
     GAUSS_LAGUERRE,
-    HANKEL_1,
-    HANKEL_2,
     Piece,
     RadialWaveFunction,
 )
@@ -51,16 +48,12 @@ __all__ = [
     "RadialWaveFunction",
     "ALL_TAGS",
     "BESSEL_J",
-    "BESSEL_Y",
     "BESSEL_I",
     "BESSEL_K",
-    "HANKEL_1",
-    "HANKEL_2",
     "GAUSS_LAGUERRE",
     "GAUSS_HERMITE",
     "norm_integral",
     "normalize",
     "energy_functional",
     "integrate",
-    "integrate_complex",
 ]

@@ -9,12 +9,11 @@ asserted symbolically rather than to rounding tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from ..errors import DomainError
+from ..errors import DomainError, require_count, require_positive
 
 
 @dataclass(frozen=True)
@@ -37,10 +36,6 @@ class Dimension:
     def nu(self) -> float:
         return float(self.nu_exact)
 
-    @property
-    def space_dim(self) -> int:
-        return self.n + 1
-
 
 @dataclass(frozen=True)
 class PhysicalScales:
@@ -54,10 +49,8 @@ class PhysicalScales:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise DomainError(f"hbar must be positive and finite, got {self.hbar!r}")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise DomainError(f"mass must be positive and finite, got {self.mass!r}")
+        require_positive("hbar", self.hbar)
+        require_positive("mass", self.mass)
 
     def reduced_energy(self, energy: float) -> float:
         return 2.0 * self.mass * energy / (self.hbar * self.hbar)
@@ -83,8 +76,7 @@ class InfiniteWell:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise DomainError(f"well radius must be positive and finite, got {self.R!r}")
+        require_positive("well radius", self.R)
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,7 @@ class Harmonic:
     omega: float
 
     def __post_init__(self) -> None:
-        if not (self.omega > 0.0 and math.isfinite(self.omega)):
-            raise DomainError(f"oscillator frequency must be positive and finite, got {self.omega!r}")
+        require_positive("oscillator frequency", self.omega)
 
 
 @dataclass(frozen=True)
@@ -112,12 +103,10 @@ class DeltaShell:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.g > 0.0 and math.isfinite(self.g)):
-            raise DomainError(f"shell coupling must be positive and finite, got {self.g!r}")
+        require_positive("shell coupling", self.g)
         if self.sign not in (-1, 1):
             raise DomainError(f"shell sign must be -1 or +1, got {self.sign!r}")
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise DomainError(f"shell radius must be positive and finite, got {self.R!r}")
+        require_positive("shell radius", self.R)
 
 
 @dataclass(frozen=True)
@@ -128,10 +117,8 @@ class FiniteWell:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.V0 > 0.0 and math.isfinite(self.V0)):
-            raise DomainError(f"well depth must be positive and finite, got {self.V0!r}")
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise DomainError(f"well radius must be positive and finite, got {self.R!r}")
+        require_positive("well depth", self.V0)
+        require_positive("well radius", self.R)
 
 
 Potential = Union[InfiniteWell, Harmonic, Free, DeltaShell, FiniteWell]
@@ -150,8 +137,7 @@ class EnergyLevel:
     sign: str
 
     def __post_init__(self) -> None:
-        if self.N < 0:
-            raise DomainError(f"quantum number must be >= 0, got {self.N}")
+        require_count("quantum number", self.N, 0)
         if self.sign not in (BOUND, SCATTERING):
             raise DomainError(f"level kind must be 'bound' or 'scattering', got {self.sign!r}")
 
@@ -168,10 +154,6 @@ class EnergyLevel:
             E=scales.physical_energy(eps_signed),
             sign=BOUND,
         )
-
-    @classmethod
-    def scattering(cls, N: int, eps: float, scales: PhysicalScales) -> "EnergyLevel":
-        return cls(N=N, eps=eps, E=scales.physical_energy(eps), sign=SCATTERING)
 
 
 @dataclass(frozen=True)

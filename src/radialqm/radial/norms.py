@@ -9,7 +9,7 @@ fraction of the requested tolerance.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Union
 
 from ..errors import (
     ComputationError,
@@ -22,6 +22,7 @@ from .model import DeltaShell, FiniteWell, Free, Harmonic, InfiniteWell, Physica
 from .quadrature import integrate
 from .wavefunction import (
     BESSEL_I,
+    BESSEL_J,
     BESSEL_K,
     GAUSS_LAGUERRE,
     GAUSS_TAGS,
@@ -31,7 +32,13 @@ from .wavefunction import (
 
 # Fraction of the tolerance granted to the truncated analytic tail.
 _TAIL_FRACTION = 1e-3
-_OSCILLATORY = frozenset({"BesselJ", "BesselY", "Hankel1", "Hankel2"})
+
+
+def _square(value: Union[float, complex]) -> float:
+    """|value|^2 of a real or complex sample."""
+    if isinstance(value, complex):
+        return value.real * value.real + value.imag * value.imag
+    return value * value
 
 
 def _abs_coeff_sum_hermite(N: int) -> float:
@@ -147,7 +154,7 @@ def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float,
 
 def _classify_unbounded(piece: Piece) -> str:
     tags = {tag for tag, coeff in piece.terms if coeff != 0.0}
-    if tags & _OSCILLATORY:
+    if BESSEL_J in tags:
         raise NonNormalizableError(
             "oscillatory piece extends to infinity; the mode is not square-integrable"
         )
@@ -210,10 +217,7 @@ def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
     n = psi.dimension.n
 
     def integrand(r: float) -> float:
-        value = psi.sample(r)
-        density = (value.real * value.real + value.imag * value.imag
-                   if isinstance(value, complex) else value * value)
-        return r**n * density
+        return r**n * _square(psi.sample(r))
 
     segments, _ = _segments(psi, r_max, budget_tail=tol * _TAIL_FRACTION)
     per_segment_tol = tol * (1.0 - _TAIL_FRACTION) / len(segments)
@@ -268,16 +272,10 @@ def energy_functional(
                        if isinstance(potential, Harmonic) else 0.0)
 
     def integrand(r: float) -> float:
-        dv = psi.derivative(r)
-        kinetic = (dv.real * dv.real + dv.imag * dv.imag
-                   if isinstance(dv, complex) else dv * dv)
-        total = kin_scale * kinetic
+        total = kin_scale * _square(psi.derivative(r))
         v = _potential_value(potential, scales, r)
         if v != 0.0:
-            value = psi.sample(r)
-            density = (value.real * value.real + value.imag * value.imag
-                       if isinstance(value, complex) else value * value)
-            total += v * density
+            total += v * _square(psi.sample(r))
         return r**n * total
 
     segments, _ = _segments(psi, math.inf, budget_tail=tol * _TAIL_FRACTION,
@@ -298,8 +296,5 @@ def energy_functional(
         value, _ = integrate(integrand, lo, hi, per_segment_tol)
         total += value
     if isinstance(potential, DeltaShell):
-        value = psi.sample(potential.R)
-        density = (value.real * value.real + value.imag * value.imag
-                   if isinstance(value, complex) else value * value)
-        total += potential.sign * potential.g * potential.R**n * density
+        total += potential.sign * potential.g * potential.R**n * _square(psi.sample(potential.R))
     return total

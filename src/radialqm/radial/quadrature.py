@@ -101,23 +101,3 @@ def integrate(
         )
     return total_value, total_err
 
-
-def integrate_complex(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    tol: float,
-) -> tuple[complex, float]:
-    """Componentwise complex version of integrate."""
-    cache: dict[float, complex] = {}
-
-    def cached(r: float) -> complex:
-        try:
-            return cache[r]
-        except KeyError:
-            cache[r] = val = f(r)
-            return val
-
-    re_val, re_err = integrate(lambda r: cached(r).real, a, b, tol)
-    im_val, im_err = integrate(lambda r: cached(r).imag, a, b, tol)
-    return complex(re_val, im_val), re_err + im_err

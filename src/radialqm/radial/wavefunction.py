@@ -1,29 +1,27 @@
 """Piecewise radial wave-functions built from tagged analytic forms.
 
 A wave-function is a list of pieces, each an interval on r >= 0 plus a
-linear combination of symbolic forms.  Cylinder-family tags (BesselJ,
-BesselY, Hankel1, Hankel2) and modified-family tags (BesselI, BesselK)
-denote amplitude r^(-nu) * Z_nu(scale * r); the Gauss tags denote the
-oscillator families exp(-scale*r^2/2) * L_N^(alpha)(scale*r^2) and
+linear combination of symbolic forms.  The cylinder tag (BesselJ) and the
+modified tags (BesselI, BesselK) denote amplitude r^(-nu) * Z_nu(scale * r);
+the Gauss tags denote the oscillator families
+exp(-scale*r^2/2) * L_N^(alpha)(scale*r^2) and
 exp(-scale*r^2/2) * H_N(sqrt(scale)*r).  Tags keep solutions
-introspectable: normalization and the validation oracle dispatch on
-them instead of on opaque callables.
+introspectable: normalization chooses its tail bound by tag instead of
+probing opaque callables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from ..errors import ComputationError, DomainError, OriginDivergenceError
+from ..errors import ComputationError, DomainError, OriginDivergenceError, require_positive
 from ..specfun import (
     bessel_i,
     bessel_j,
     bessel_k,
-    bessel_y,
     gamma_fn,
-    hankel,
     hermite,
     hermite_derivative,
     laguerre,
@@ -32,31 +30,25 @@ from ..specfun import (
 from .model import Dimension, EnergyLevel
 
 BESSEL_J = "BesselJ"
-BESSEL_Y = "BesselY"
 BESSEL_I = "BesselI"
 BESSEL_K = "BesselK"
-HANKEL_1 = "Hankel1"
-HANKEL_2 = "Hankel2"
 GAUSS_LAGUERRE = "GaussLaguerre"
 GAUSS_HERMITE = "GaussHermite"
 
-ALL_TAGS = (
-    BESSEL_J,
-    BESSEL_Y,
-    BESSEL_I,
-    BESSEL_K,
-    HANKEL_1,
-    HANKEL_2,
-    GAUSS_LAGUERRE,
-    GAUSS_HERMITE,
-)
+ALL_TAGS = (BESSEL_J, BESSEL_I, BESSEL_K, GAUSS_LAGUERRE, GAUSS_HERMITE)
 
-# Forms that blow up (or break symmetry) as r -> 0.
-IRREGULAR_TAGS = frozenset({BESSEL_Y, BESSEL_K, HANKEL_1, HANKEL_2})
+# Cylinder tags: kernel, and the sign in d/dr [r^(-nu) Z_nu(k r)] = +-k r^(-nu) Z_(nu+1)(k r).
+# The kernels are looked up at call time, so a wrapper patched onto this module sees every call.
+_CYLINDER = {
+    BESSEL_J: (lambda nu, x: bessel_j(nu, x), -1.0),
+    BESSEL_I: (lambda nu, x: bessel_i(nu, x), 1.0),
+    BESSEL_K: (lambda nu, x: bessel_k(nu, x), -1.0),
+}
+# Forms that blow up as r -> 0.
+IRREGULAR_TAGS = frozenset({BESSEL_K})
 GAUSS_TAGS = frozenset({GAUSS_LAGUERRE, GAUSS_HERMITE})
 
 Coefficient = Union[float, complex]
-
 
 
 def _radial_power(r: float, nu: float) -> float:
@@ -67,6 +59,11 @@ def _radial_power(r: float, nu: float) -> float:
         raise ComputationError(
             f"r^(-nu) leaves the double range at r = {r:.3g}, order {nu}"
         ) from None
+
+
+def _require_regular(tag: str) -> None:
+    if tag in IRREGULAR_TAGS:
+        raise OriginDivergenceError(f"form {tag} is singular at the origin")
 
 
 @dataclass(frozen=True)
@@ -95,8 +92,7 @@ class Piece:
         for tag, _ in self.terms:
             if tag not in ALL_TAGS:
                 raise DomainError(f"unknown form tag {tag!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError(f"piece scale must be positive and finite, got {self.scale!r}")
+        require_positive("piece scale", self.scale)
         gauss = [tag in GAUSS_TAGS for tag, _ in self.terms]
         if any(gauss) and not all(gauss):
             raise DomainError("cannot mix Gauss forms with cylinder forms in one piece")
@@ -110,11 +106,8 @@ class Piece:
     def contains(self, r: float) -> bool:
         return self.r_lo <= r <= self.r_hi
 
-    def touches_origin(self) -> bool:
-        return self.r_lo == 0.0
-
     def irregular_at_origin(self) -> bool:
-        return self.touches_origin() and any(
+        return self.r_lo == 0.0 and any(
             tag in IRREGULAR_TAGS and coeff != 0.0 for tag, coeff in self.terms
         )
 
@@ -125,29 +118,12 @@ class Piece:
             if tag == GAUSS_LAGUERRE:
                 return envelope * laguerre(self.degree, self.alpha, mu * r * r)
             return envelope * hermite(self.degree, math.sqrt(mu) * r)
-        x = self.scale * r
         if r == 0.0:
-            return self._origin_value(tag, nu)
-        radial_power = _radial_power(r, nu)
-        if tag == BESSEL_J:
-            return radial_power * bessel_j(nu, x).value
-        if tag == BESSEL_Y:
-            return radial_power * bessel_y(nu, x).value
-        if tag == BESSEL_I:
-            return radial_power * bessel_i(nu, x).value
-        if tag == BESSEL_K:
-            return radial_power * bessel_k(nu, x).value
-        if tag == HANKEL_1:
-            return radial_power * hankel(1, nu, x).value
-        return radial_power * hankel(2, nu, x).value
-
-    def _origin_value(self, tag: str, nu: float) -> float:
-        # Limits of r^(-nu) Z_nu(k r): finite for the regular forms only.
-        if tag == BESSEL_J or tag == BESSEL_I:
+            # the limit of r^(-nu) Z_nu(k r), finite for the regular forms
+            _require_regular(tag)
             return (0.5 * self.scale) ** nu / gamma_fn(nu + 1.0).value
-        raise OriginDivergenceError(
-            f"form {tag} is singular (or parity-odd) at the origin"
-        )
+        kernel, _ = _CYLINDER[tag]
+        return _radial_power(r, nu) * kernel(nu, self.scale * r).value
 
     def _term_derivative(self, tag: str, nu: float, r: float) -> Coefficient:
         if tag in GAUSS_TAGS:
@@ -162,28 +138,13 @@ class Piece:
             poly = hermite(self.degree, root * r)
             slope = hermite_derivative(self.degree, root * r)
             return envelope * (root * slope - mu * r * poly)
-        # d/dr [r^(-nu) Z_nu(k r)] = -+ k r^(-nu) Z_(nu+1)(k r)
-        k = self.scale
-        x = k * r
         if r == 0.0:
-            # r^(-nu) Z_(nu+1)(k r) ~ r -> 0 for every nu >= -1/2.
-            if tag == BESSEL_J or tag == BESSEL_I:
-                return 0.0
-            raise OriginDivergenceError(
-                f"form {tag} is singular (or parity-odd) at the origin"
-            )
-        radial_power = _radial_power(r, nu)
-        if tag == BESSEL_J:
-            return -k * radial_power * bessel_j(nu + 1.0, x).value
-        if tag == BESSEL_Y:
-            return -k * radial_power * bessel_y(nu + 1.0, x).value
-        if tag == BESSEL_I:
-            return k * radial_power * bessel_i(nu + 1.0, x).value
-        if tag == BESSEL_K:
-            return -k * radial_power * bessel_k(nu + 1.0, x).value
-        if tag == HANKEL_1:
-            return -k * radial_power * hankel(1, nu + 1.0, x).value
-        return -k * radial_power * hankel(2, nu + 1.0, x).value
+            # r^(-nu) Z_(nu+1)(k r) ~ r -> 0 for every nu >= -1/2
+            _require_regular(tag)
+            return 0.0
+        k = self.scale
+        kernel, sign = _CYLINDER[tag]
+        return sign * k * _radial_power(r, nu) * kernel(nu + 1.0, k * r).value
 
     def amplitude(self, nu: float, r: float) -> Coefficient:
         total: Coefficient = 0.0
@@ -200,22 +161,6 @@ class Piece:
                 continue
             total += coeff * self._term_derivative(tag, nu, r)
         return total
-
-    def descriptor(self) -> dict:
-        out: dict = {
-            "r_min": self.r_lo,
-            "r_max": None if self.is_unbounded else self.r_hi,
-            "forms": [tag for tag, _ in self.terms],
-            "coefficients": [
-                [complex(c).real, complex(c).imag] for _, c in self.terms
-            ],
-            "scale": self.scale,
-        }
-        if self.degree is not None:
-            out["degree"] = self.degree
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        return out
 
 
 @dataclass(frozen=True)
@@ -271,28 +216,3 @@ class RadialWaveFunction:
 
     def with_norm_constant(self, constant: float) -> "RadialWaveFunction":
         return replace(self, norm_constant=constant)
-
-    def csv_rows(self, radii: Sequence[float]) -> list[tuple[float, float, float, int]]:
-        """Rows (r, psi_real, psi_imag, piece_index) for export."""
-        rows = []
-        for r in radii:
-            value = complex(self.sample(r))
-            rows.append((float(r), value.real, value.imag, self.piece_index_at(r)))
-        return rows
-
-    def descriptor(self) -> dict:
-        if isinstance(self.energy, EnergyLevel):
-            energy: Union[dict, float] = {
-                "N": self.energy.N,
-                "eps": self.energy.eps,
-                "E": self.energy.E,
-                "sign": self.energy.sign,
-            }
-        else:
-            energy = float(self.energy)
-        return {
-            "dimension": self.dimension.n,
-            "energy": energy,
-            "pieces": [piece.descriptor() for piece in self.pieces],
-            "norm_constant": self.norm_constant,
-        }

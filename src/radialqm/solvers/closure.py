@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import DomainError
+from ..errors import require_positive
 from ..radial import Dimension
 from ..radial.quadrature import integrate
 from ..specfun.bessel_jy import bessel_j
@@ -56,16 +56,10 @@ def closure_check(
     dim: Dimension, k: float, k_prime: float, r_max: float, smear_width: float
 ) -> ClosureProbe:
     """Smeared truncated overlap of the modes at k and k_prime."""
-    k = float(k)
-    k_prime = float(k_prime)
-    r_max = float(r_max)
-    smear_width = float(smear_width)
-    if not (k > 0.0 and k_prime > 0.0):
-        raise DomainError("closure probe needs positive wavenumbers")
-    if not (r_max > 0.0 and math.isfinite(r_max)):
-        raise DomainError(f"r_max must be positive and finite, got {r_max!r}")
-    if not (smear_width > 0.0 and math.isfinite(smear_width)):
-        raise DomainError(f"smear width must be positive, got {smear_width!r}")
+    k = require_positive("wavenumber k", k)
+    k_prime = require_positive("wavenumber k_prime", k_prime)
+    r_max = require_positive("r_max", r_max)
+    smear_width = require_positive("smear width", smear_width)
     nu = dim.nu
     straight = _smeared(nu, r_max, k, k_prime, smear_width)
     swapped = _smeared(nu, r_max, k_prime, k, smear_width)

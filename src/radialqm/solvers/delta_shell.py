@@ -9,12 +9,11 @@ for the interior and outgoing amplitudes with a unit incoming wave.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from typing import Optional, Tuple
 
-from ..errors import ComputationError, DomainError, MatchingError
+from ..errors import ComputationError, DomainError, MatchingError, require_positive
 from ..radial import (
     BESSEL_I,
     BESSEL_K,
@@ -27,6 +26,7 @@ from ..radial import (
 from ..radial.norms import normalize
 from ..specfun.bessel_ik import bessel_i, bessel_k, scaled_bessel_i, scaled_bessel_k
 from ..specfun.bessel_jy import bessel_j, bessel_y
+from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import log_grid, scan_roots
 
@@ -47,16 +47,6 @@ def _ik_product(nu: float, x: float) -> float:
     return product
 
 
-def _check_shell(gamma: float, R: float) -> Tuple[float, float]:
-    gamma = float(gamma)
-    R = float(R)
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise DomainError(f"shell coupling must be positive, got {gamma!r}")
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"shell radius must be positive, got {R!r}")
-    return gamma, R
-
-
 def delta_bound_energy(
     dim: Dimension, gamma: float, R: float, scales: PhysicalScales
 ) -> Optional[Tuple[EnergyLevel, TranscendentalRoot]]:
@@ -65,7 +55,8 @@ def delta_bound_energy(
     Only nu > 0 has a threshold, gamma R <= 2 nu.  Every other coupling
     binds, and a level too shallow for doubles raises ComputationError.
     """
-    gamma, R = _check_shell(gamma, R)
+    gamma = require_positive("shell coupling", gamma)
+    R = require_positive("shell radius", R)
     nu = dim.nu
     gr = gamma * R
     if nu > 0.0 and gr <= 2.0 * nu:
@@ -131,12 +122,8 @@ def delta_scattering(
     scales: PhysicalScales,
 ) -> ScatteringResult:
     """Interface solve at reduced energy eps; gamma_signed < 0 attracts."""
-    R = float(R)
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"shell radius must be positive, got {R!r}")
-    eps = float(eps)
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError(f"scattering needs eps > 0, got {eps!r}")
+    R = require_positive("shell radius", R)
+    eps = require_positive("scattering energy", eps)
     g = float(gamma_signed)
     if not math.isfinite(g):
         raise DomainError(f"coupling must be finite, got {gamma_signed!r}")
@@ -147,22 +134,8 @@ def delta_scattering(
     j1 = bessel_j(nu + 1.0, x).value
     y0 = bessel_y(nu, x).value
     y1 = bessel_y(nu + 1.0, x).value
-    h1_0 = complex(j0, y0)
-    h1_1 = complex(j1, y1)
-    h2_0 = complex(j0, -y0)
-    h2_1 = complex(j1, -y1)
-    # rows: amplitude continuity, then slope jump equal to g times the value
-    m11, m12 = complex(j0), -h1_0
-    m21, m22 = complex(k * j1 - g * j0), -k * h1_1
-    r1, r2 = h2_0, k * h2_1
-    det = m11 * m22 - m12 * m21
-    if det == 0:
-        raise MatchingError("interface system is singular at this energy")
-    a = (r1 * m22 - m12 * r2) / det
-    b = (m11 * r2 - r1 * m21) / det
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        # Y_nu overflows, or J_nu Y_nu products do, at high order and small kR
-        raise ComputationError("interface solve leaves the double range at this order and kR")
+    # the slope jumps by g times the value across the shell
+    a, b = solve_interface(j0, k * j1 - g * j0, k, j0, j1, y0, y1)
     t1 = math.pi * g * R * j0 * y0
     t2 = math.pi * g * R * j0 * j0 - 2.0
     return ScatteringResult(

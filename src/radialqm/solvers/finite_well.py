@@ -13,11 +13,10 @@ interior and outgoing amplitudes against a unit incoming wave.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, List, Tuple
 
-from ..errors import ComputationError, DomainError
+from ..errors import ComputationError, DomainError, require_count, require_positive
 from ..radial import (
     BESSEL_J,
     BESSEL_K,
@@ -30,22 +29,13 @@ from ..radial import (
 from ..radial.norms import normalize
 from ..specfun.bessel_ik import scaled_bessel_k
 from ..specfun.bessel_jy import bessel_j, bessel_y
+from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import scan_roots, uniform_grid
 
 _NORM_TOL = 1e-10
 _SCALED_COEFF_LIMIT = 330.0
 _EDGE = 1.0 - 1e-10
-
-
-def _check_well(V0: float, R: float) -> Tuple[float, float]:
-    V0 = float(V0)
-    R = float(R)
-    if not (V0 > 0.0 and math.isfinite(V0)):
-        raise DomainError(f"well depth must be positive, got {V0!r}")
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"well radius must be positive, got {R!r}")
-    return V0, R
 
 
 def _residual_factory(
@@ -79,7 +69,8 @@ def finite_well_bound_spectrum(
     dim: Dimension, V0: float, R: float, scales: PhysicalScales
 ) -> List[Tuple[EnergyLevel, TranscendentalRoot]]:
     """All bound levels, shallowest binding last; empty list if none."""
-    V0, R = _check_well(V0, R)
+    V0 = require_positive("well depth", V0)
+    R = require_positive("well radius", R)
     v0 = scales.reduced_potential(V0)
     Q = math.sqrt(v0) * R
     nu = dim.nu
@@ -107,9 +98,7 @@ def finite_well_bound_wavefunction(
     dim: Dimension, V0: float, R: float, N: int, scales: PhysicalScales
 ) -> RadialWaveFunction:
     """Normalized N-th bound mode: oscillatory core, decaying tail."""
-    if int(N) != N or N < 1:
-        raise DomainError(f"mode index must be an integer >= 1, got {N!r}")
-    N = int(N)
+    N = require_count("mode index", N, 1)
     spectrum = finite_well_bound_spectrum(dim, V0, R, scales)
     if N > len(spectrum):
         raise DomainError(
@@ -143,12 +132,8 @@ def finite_well_scattering(
     V0 = float(V0)
     if not (V0 >= 0.0 and math.isfinite(V0)):
         raise DomainError(f"well depth must be nonnegative, got {V0!r}")
-    R = float(R)
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"well radius must be positive, got {R!r}")
-    eps = float(eps)
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError(f"scattering needs eps > 0, got {eps!r}")
+    R = require_positive("well radius", R)
+    eps = require_positive("scattering energy", eps)
     v0 = scales.reduced_potential(V0)
     nu = dim.nu
     k = math.sqrt(eps)
@@ -161,22 +146,7 @@ def finite_well_scattering(
     j1 = bessel_j(nu + 1.0, x).value
     y0 = bessel_y(nu, x).value
     y1 = bessel_y(nu + 1.0, x).value
-    h1_0 = complex(j0, y0)
-    h1_1 = complex(j1, y1)
-    h2_0 = complex(j0, -y0)
-    h2_1 = complex(j1, -y1)
-    # rows: amplitude continuity, then slope continuity
-    m11, m12 = complex(jt0), -h1_0
-    m21, m22 = complex(p * jt1), -k * h1_1
-    r1, r2 = h2_0, k * h2_1
-    det = m11 * m22 - m12 * m21
-    if det == 0:
-        raise ComputationError("interface system is singular at this energy")
-    a = (r1 * m22 - m12 * r2) / det
-    b = (m11 * r2 - r1 * m21) / det
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        # Y_nu overflows, or J_nu Y_nu products do, at high order and small kR
-        raise ComputationError("interface solve leaves the double range at this order and kR")
+    a, b = solve_interface(jt0, p * jt1, k, j0, j1, y0, y1)
     # printed closed form, kept verbatim for comparison
     E = scales.physical_energy(eps)
     mu_ratio = math.sqrt(V0 / E + 1.0) if V0 > 0.0 else 1.0

@@ -8,15 +8,13 @@ from __future__ import annotations
 
 import math
 
-from ..errors import DomainError
+from ..errors import require_positive
 from ..radial import BESSEL_J, Dimension, Piece, RadialWaveFunction
 
 
 def free_mode(dim: Dimension, eps: float) -> RadialWaveFunction:
     """Unit-amplitude regular mode at reduced energy eps > 0."""
-    eps = float(eps)
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError(f"free mode needs eps > 0, got {eps!r}")
+    eps = require_positive("mode energy", eps)
     k = math.sqrt(eps)
     piece = Piece(0.0, math.inf, ((BESSEL_J, 1.0),), scale=k)
     return RadialWaveFunction(dim, eps, (piece,))

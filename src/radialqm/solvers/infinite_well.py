@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..errors import DomainError
+from ..errors import require_count, require_positive
 from ..radial import (
     BESSEL_J,
     Dimension,
@@ -20,39 +20,24 @@ from ..radial import (
     Piece,
     RadialWaveFunction,
 )
-from ..specfun import bessel_j, bessel_j_zero
-
-
-def _check_radius(R: float) -> float:
-    R = float(R)
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"well radius must be positive and finite, got {R!r}")
-    return R
+from ..specfun import bessel_j, bessel_j_zero, bessel_j_zeros
 
 
 def infinite_well_spectrum(
     dim: Dimension, R: float, count: int, scales: PhysicalScales
 ) -> List[EnergyLevel]:
     """Levels E_N = (hbar^2/2m)(z_N/R)^2 with z_N the N-th zero of J_nu."""
-    R = _check_radius(R)
-    if int(count) != count or count < 1:
-        raise DomainError(f"level count must be an integer >= 1, got {count!r}")
-    levels = []
-    for N in range(1, int(count) + 1):
-        z = bessel_j_zero(dim.nu, N)
-        eps = (z / R) ** 2
-        levels.append(EnergyLevel.bound(N, eps, scales))
-    return levels
+    R = require_positive("well radius", R)
+    zeros = bessel_j_zeros(dim.nu, require_count("level count", count, 1))
+    return [EnergyLevel.bound(N, (z / R) ** 2, scales) for N, z in enumerate(zeros, start=1)]
 
 
 def infinite_well_wavefunction(
     dim: Dimension, R: float, N: int, scales: PhysicalScales
 ) -> RadialWaveFunction:
     """Normalized N-th mode, zero at the wall and beyond."""
-    R = _check_radius(R)
-    if int(N) != N or N < 1:
-        raise DomainError(f"mode index must be an integer >= 1, got {N!r}")
-    N = int(N)
+    R = require_positive("well radius", R)
+    N = require_count("mode index", N, 1)
     z = bessel_j_zero(dim.nu, N)
     k = z / R
     # weighted square integrates to (R^2/2) J_{nu+1}(z)^2 for unit amplitude

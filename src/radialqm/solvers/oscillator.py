@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import List
 
-from ..errors import DomainError
+from ..errors import require_count, require_positive
 from ..radial import (
     GAUSS_HERMITE,
     GAUSS_LAGUERRE,
@@ -26,23 +26,15 @@ from ..radial.norms import normalize
 _NORM_TOL = 1e-10
 
 
-def _check_omega(omega: float) -> float:
-    omega = float(omega)
-    if not (omega > 0.0 and math.isfinite(omega)):
-        raise DomainError(f"oscillator frequency must be positive, got {omega!r}")
-    return omega
-
-
 def oscillator_spectrum(
     dim: Dimension, omega: float, count: int, scales: PhysicalScales
 ) -> List[EnergyLevel]:
     """E_N = hbar*omega*(2N + (n+1)/2); merged half-step ladder when n = 0."""
-    omega = _check_omega(omega)
-    if int(count) != count or count < 1:
-        raise DomainError(f"level count must be an integer >= 1, got {count!r}")
+    omega = require_positive("oscillator frequency", omega)
+    count = require_count("level count", count, 1)
     mu = scales.oscillator_scale(omega)
     levels = []
-    for N in range(int(count)):
+    for N in range(count):
         if dim.n == 0:
             eps = 2.0 * mu * (N + 0.5)
         else:
@@ -55,10 +47,8 @@ def oscillator_wavefunction(
     dim: Dimension, omega: float, N: int, scales: PhysicalScales
 ) -> RadialWaveFunction:
     """Normalized N-th mode; Laguerre form for n >= 1, Hermite form for n = 0."""
-    omega = _check_omega(omega)
-    if int(N) != N or N < 0:
-        raise DomainError(f"mode index must be an integer >= 0, got {N!r}")
-    N = int(N)
+    omega = require_positive("oscillator frequency", omega)
+    N = require_count("mode index", N, 0)
     mu = scales.oscillator_scale(omega)
     if dim.n == 0:
         eps = 2.0 * mu * (N + 0.5)

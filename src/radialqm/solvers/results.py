@@ -1,11 +1,10 @@
 """Result records returned by the closed-form solvers."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..errors import DomainError
+from ..errors import DomainError, require_positive
 
 
 @dataclass(frozen=True)
@@ -22,8 +21,7 @@ class TranscendentalRoot:
     bracket: Tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"root energy must be positive, got {self.eps!r}")
+        require_positive("root energy", self.eps)
         if len(self.bracket) != 2:
             raise DomainError("bracket must hold exactly two endpoints")
 
@@ -48,8 +46,7 @@ class ScatteringResult:
     paper_T: float
 
     def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"scattering energy must be positive, got {self.eps!r}")
+        require_positive("scattering energy", self.eps)
 
 
 @dataclass(frozen=True)
@@ -63,9 +60,7 @@ class ClosureProbe:
     value: float
 
     def __post_init__(self) -> None:
-        if not (self.k > 0.0 and self.k_prime > 0.0):
-            raise DomainError("closure probe needs positive wavenumbers")
-        if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
-            raise DomainError(f"r_max must be positive and finite, got {self.r_max!r}")
-        if not (self.smear_width > 0.0):
-            raise DomainError(f"smear width must be positive, got {self.smear_width!r}")
+        require_positive("wavenumber k", self.k)
+        require_positive("wavenumber k_prime", self.k_prime)
+        require_positive("r_max", self.r_max)
+        require_positive("smear width", self.smear_width)

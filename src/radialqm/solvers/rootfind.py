@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
-from ..errors import ComputationError, DomainError
+from ..errors import ComputationError, DomainError, require_count
 
 RootRecord = Tuple[float, float, Tuple[float, float]]
+
+_MIN_CELLS = 64
 
 
 class LogGrid(Sequence[float]):
@@ -39,7 +41,7 @@ class LogGrid(Sequence[float]):
         return self._hi if i == self._count else self._lo * math.exp(i * self._step)
 
 
-def log_grid(lo: float, hi: float, per_decade: int = 512) -> LogGrid:
+def log_grid(lo: float, hi: float, per_decade: int) -> LogGrid:
     """Geometric grid from lo to hi with at least per_decade points per decade."""
     if not (0.0 < lo < hi):
         raise DomainError(f"log grid needs 0 < lo < hi, got {lo!r}, {hi!r}")
@@ -47,13 +49,13 @@ def log_grid(lo: float, hi: float, per_decade: int = 512) -> LogGrid:
     return LogGrid(lo, hi, max(int(math.ceil(span * per_decade)), 8))
 
 
-def uniform_grid(lo: float, hi: float, max_step: float, min_points: int = 64) -> List[float]:
-    """Arithmetic grid from lo to hi with spacing at most max_step."""
+def uniform_grid(lo: float, hi: float, max_step: float) -> List[float]:
+    """Arithmetic grid from lo to hi with spacing at most max_step, at least 64 cells."""
     if not (lo < hi):
         raise DomainError(f"uniform grid needs lo < hi, got {lo!r}, {hi!r}")
     if not (max_step > 0.0):
         raise DomainError(f"max_step must be positive, got {max_step!r}")
-    count = max(int(math.ceil((hi - lo) / max_step)), min_points)
+    count = max(int(math.ceil((hi - lo) / max_step)), _MIN_CELLS)
     step = (hi - lo) / count
     grid = [lo + i * step for i in range(count)]
     grid.append(hi)
@@ -99,8 +101,7 @@ def scan_roots(
     per run of zeros, at the run's first point, bracketed by its grid
     neighbours.  With stride 1 every grid point is evaluated.
     """
-    if stride < 1:
-        raise DomainError(f"scan stride must be >= 1, got {stride!r}")
+    stride = require_count("scan stride", stride, 1)
     size = len(grid)
     values: Dict[int, float] = {}
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from ..errors import DomainError
+from ..errors import DomainError, require_positive
 from ..radial import Dimension, PhysicalScales
 from ..radial.model import DeltaShell, FiniteWell
 from .delta_shell import delta_scattering
@@ -25,34 +25,21 @@ def quantized_transmission_energies(
     scales: PhysicalScales,
 ) -> List[float]:
     """Ascending reduced energies in eps_range with intensity == T_target."""
-    T_target = float(T_target)
-    if not (T_target > 0.0 and math.isfinite(T_target)):
-        raise DomainError(f"target intensity must be positive, got {T_target!r}")
+    T_target = require_positive("target intensity", T_target)
     lo, hi = float(eps_range[0]), float(eps_range[1])
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise DomainError(f"energy range must satisfy 0 < lo < hi, got {eps_range!r}")
 
     if isinstance(problem, DeltaShell):
         gamma = problem.sign * scales.reduced_coupling(problem.g)
-
-        def intensity(eps: float) -> float:
-            return delta_scattering(
-                dim, gamma, problem.R, eps, scales
-            ).interior_intensity
-
-        R = problem.R
+        solve = lambda eps: delta_scattering(dim, gamma, problem.R, eps, scales)
     elif isinstance(problem, FiniteWell):
-
-        def intensity(eps: float) -> float:
-            return finite_well_scattering(
-                dim, problem.V0, problem.R, eps, scales
-            ).interior_intensity
-
-        R = problem.R
+        solve = lambda eps: finite_well_scattering(dim, problem.V0, problem.R, eps, scales)
     else:
         raise DomainError(f"unsupported problem type {type(problem).__name__}")
+    R = problem.R
 
-    residual = lambda eps: intensity(eps) - T_target
+    residual = lambda eps: solve(eps).interior_intensity - T_target
     # sample so the top-of-range step stays below an eighth of the kR
     # oscillation; crossings are then located on the 512-per-decade grid
     kr_per_decade = int(math.ceil(8.0 * math.sqrt(hi) * R * math.log(10.0) / math.pi))

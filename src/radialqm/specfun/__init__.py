@@ -6,7 +6,7 @@ zero finder, whose recurrences are exact enough to return plain floats.
 """
 
 from .bessel_ik import bessel_i, bessel_k
-from .bessel_jy import bessel_j, bessel_y, hankel
+from .bessel_jy import bessel_j, bessel_y
 from .gammafn import gamma_fn
 from .hyper import (
     hermite,
@@ -16,19 +16,17 @@ from .hyper import (
     laguerre,
     laguerre_derivative,
 )
-from .order import Order
 from .result import EvalResult
-from .zeros import bessel_j_zero
+from .zeros import bessel_j_zero, bessel_j_zeros
 
 __all__ = [
-    "Order",
     "EvalResult",
     "bessel_j",
     "bessel_y",
     "bessel_i",
     "bessel_k",
-    "hankel",
     "bessel_j_zero",
+    "bessel_j_zeros",
     "gamma_fn",
     "kummer_m",
     "kummer_u",

@@ -18,6 +18,7 @@ import math
 from ..errors import ComputationError, DomainError
 from ._temme import gamma_pair_small
 from .gammafn import gamma_fn
+from .order import check_order
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
@@ -155,16 +156,9 @@ def _k_scaled_engine(nu: float, x: float):
     return k0, k1, 4e-15
 
 
-def _check_order(nu: float) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < -0.5 - 1e-12:
-        raise DomainError(f"order must be finite and >= -1/2, got {nu!r}")
-    return nu
-
-
 def bessel_i(nu: float, x: float) -> EvalResult:
     """I_nu(x) for nu >= -1/2, x >= 0; overflow is flagged, not raised."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_i requires x >= 0, got {x!r}")
@@ -182,7 +176,7 @@ def bessel_i(nu: float, x: float) -> EvalResult:
 
 def bessel_k(nu: float, x: float) -> EvalResult:
     """K_nu(x) for nu >= -1/2, x > 0."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
@@ -195,7 +189,7 @@ def bessel_k(nu: float, x: float) -> EvalResult:
 
 def scaled_bessel_k(nu: float, x: float) -> EvalResult:
     """e^x K_nu(x): internal helper for deep-decay ratios (not public API)."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"scaled_bessel_k requires x > 0, got {x!r}")
@@ -207,7 +201,7 @@ def scaled_bessel_k(nu: float, x: float) -> EvalResult:
 
 def scaled_bessel_i(nu: float, x: float) -> EvalResult:
     """e^{-x} I_nu(x): pairs with scaled_bessel_k where I alone overflows."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"scaled_bessel_i requires x >= 0, got {x!r}")

@@ -23,6 +23,7 @@ import math
 from ..errors import ComputationError, DomainError
 from ._temme import gamma_pair_small
 from .gammafn import gamma_fn
+from .order import check_order
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
@@ -243,16 +244,23 @@ def _engine(nu: float, x: float):
             rj /= _RESCALE
             rjp /= _RESCALE
             resc /= _RESCALE
-    f_mu = rjp / rj
     p, q = _cf2(mu, x)
     w = 2.0 / (math.pi * x)
-    gam = (p - f_mu) / q
-    j_mu = math.copysign(math.sqrt(w / (q + gam * (p - f_mu))), rj)
-    y_mu = gam * j_mu
-    yp_mu = q * j_mu + p * y_mu
+    if rj == 0.0:
+        # the sweep sits on a zero of J_mu: there (J' + iY')/(iY) = p + iq
+        # gives J' = -q Y and Y' = p Y, and the Wronskian -J' Y = w fixes Y
+        jp_mu = math.copysign(math.sqrt(w * q), rjp)
+        y_mu = -jp_mu / q
+        yp_mu = p * y_mu
+        j_nu = jp_mu * (isign * _SEED) * resc / rjp
+    else:
+        f_mu = rjp / rj
+        gam = (p - f_mu) / q
+        j_mu = math.copysign(math.sqrt(w / (q + gam * (p - f_mu))), rj)
+        y_mu = gam * j_mu
+        yp_mu = q * j_mu + p * y_mu
+        j_nu = j_mu * (isign * _SEED) * resc / rj
     y_mu1 = (mu / x) * y_mu - yp_mu
-
-    j_nu = j_mu * (isign * _SEED) * resc / rj
     jp_nu = f_nu * j_nu
 
     if _series_region(nu, x):
@@ -266,16 +274,9 @@ def _engine(nu: float, x: float):
     return j_nu, jp_nu, y, yp, abs(j_nu) * 1e-14, abs(y) * 1e-14
 
 
-def _check_order(nu: float) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < -0.5 - 1e-12:
-        raise DomainError(f"order must be finite and >= -1/2, got {nu!r}")
-    return nu
-
-
 def bessel_j(nu: float, x: float) -> EvalResult:
     """J_nu(x) for nu >= -1/2, x >= 0."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel_j requires x >= 0, got {x!r}")
@@ -294,7 +295,7 @@ def bessel_j(nu: float, x: float) -> EvalResult:
 
 def bessel_y(nu: float, x: float) -> EvalResult:
     """Y_nu(x) for nu >= -1/2, x > 0."""
-    nu = _check_order(nu)
+    nu = check_order(nu)
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"bessel_y requires x > 0, got {x!r}")
@@ -303,15 +304,3 @@ def bessel_y(nu: float, x: float) -> EvalResult:
         return overflow_result(math.copysign(math.inf, y))
     return EvalResult(y, est_y)
 
-
-def hankel(kind: int, nu: float, x: float) -> EvalResult:
-    """H^(kind)_nu(x) = J_nu(x) +/- i Y_nu(x) for kind 1 / 2."""
-    if kind not in (1, 2):
-        raise DomainError(f"hankel kind must be 1 or 2, got {kind!r}")
-    nu = _check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"hankel requires x > 0, got {x!r}")
-    j, _, y, _, est_j, est_y = _engine(nu, x)
-    value = complex(j, y if kind == 1 else -y)
-    return EvalResult(value, est_j + est_y)

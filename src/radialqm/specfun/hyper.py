@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ..errors import ComputationError, DomainError, PoleError
+from ..errors import ComputationError, DomainError, PoleError, require_count
 from .gammafn import gamma_fn
 from .result import EvalResult
 
@@ -111,9 +111,7 @@ def kummer_u(p: float, q: float, z: float) -> EvalResult:
 
 def hermite(N: int, z: float) -> float:
     """Hermite polynomial H_N(z) by the three-term recurrence."""
-    if int(N) != N or N < 0:
-        raise DomainError(f"hermite index must be an integer >= 0, got {N!r}")
-    N = int(N)
+    N = require_count("hermite index", N, 0)
     h_prev, h = 1.0, 2.0 * z
     if N == 0:
         return 1.0
@@ -124,12 +122,10 @@ def hermite(N: int, z: float) -> float:
 
 def laguerre(N: int, alpha: float, z: float) -> float:
     """Generalized Laguerre polynomial L_N^{(alpha)}(z), alpha > -1."""
-    if int(N) != N or N < 0:
-        raise DomainError(f"laguerre index must be an integer >= 0, got {N!r}")
+    N = require_count("laguerre index", N, 0)
     alpha = float(alpha)
     if not alpha > -1.0:
         raise DomainError(f"laguerre weight exponent must exceed -1, got {alpha!r}")
-    N = int(N)
     l_prev, l_cur = 1.0, 1.0 + alpha - z
     if N == 0:
         return 1.0
@@ -143,17 +139,15 @@ def laguerre(N: int, alpha: float, z: float) -> float:
 
 def laguerre_derivative(N: int, alpha: float, z: float) -> float:
     """d/dz L_N^{(alpha)}(z) = -L_{N-1}^{(alpha+1)}(z)."""
-    if int(N) != N or N < 0:
-        raise DomainError(f"laguerre index must be an integer >= 0, got {N!r}")
+    N = require_count("laguerre index", N, 0)
     if N == 0:
         return 0.0
-    return -laguerre(int(N) - 1, alpha + 1.0, z)
+    return -laguerre(N - 1, alpha + 1.0, z)
 
 
 def hermite_derivative(N: int, z: float) -> float:
     """d/dz H_N(z) = 2N H_{N-1}(z)."""
-    if int(N) != N or N < 0:
-        raise DomainError(f"hermite index must be an integer >= 0, got {N!r}")
+    N = require_count("hermite index", N, 0)
     if N == 0:
         return 0.0
-    return 2.0 * N * hermite(int(N) - 1, z)
+    return 2.0 * N * hermite(N - 1, z)

@@ -1,30 +1,18 @@
-"""Validated Bessel/Whittaker order parameter."""
+"""The one order check of the cylinder-function kernels."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..errors import DomainError
 
 
-@dataclass(frozen=True)
-class Order:
-    """Order nu of a radial special function.
+def check_order(nu: float) -> float:
+    """nu as a float; DomainError unless finite and >= -1/2.
 
-    The radial problems in this package only produce nu = (n - 1)/2 with
-    dimension count n >= 0, so construction rejects anything below -1/2.
+    The radial problems only produce nu = (n - 1)/2 with n >= 0.
     """
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        nu = float(self.nu)
-        if not math.isfinite(nu):
-            raise DomainError(f"order must be finite, got {self.nu!r}")
-        if nu < -0.5:
-            raise DomainError(f"order must be >= -1/2, got {nu!r}")
-        object.__setattr__(self, "nu", nu)
-
-    def __float__(self) -> float:
-        return self.nu
+    nu = float(nu)
+    if not math.isfinite(nu) or nu < -0.5 - 1e-12:
+        raise DomainError(f"order must be finite and >= -1/2, got {nu!r}")
+    return nu

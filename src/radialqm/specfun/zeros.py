@@ -5,15 +5,18 @@ Newton iterations with a bisection fallback.  The scan starts below the
 first zero (the ascending series is strictly positive for x < 2 sqrt(nu+1),
 so no zero can hide there) and advances in unit steps; consecutive zeros of
 any cylinder function of order >= -1/2 are more than 2.8 apart beyond that
-point, so a unit step can never straddle two sign changes.  A large-order
-phase estimate only sizes the initial hop, never replaces the bracketing.
+point, so a unit step can never straddle two sign changes.  At high order
+J underflows to an exact zero below its first root; the scan steps over
+those points before it counts roots.
 """
 from __future__ import annotations
 
 import math
+from typing import List
 
-from ..errors import ComputationError, DomainError
+from ..errors import ComputationError, require_count
 from .bessel_jy import bessel_j
+from .order import check_order
 
 _STEP = 1.0
 
@@ -69,30 +72,37 @@ def _refine(nu: float, lo: float, hi: float) -> float:
     return root
 
 
-def bessel_j_zero(nu: float, N: int) -> float:
-    """The N-th positive zero of J_nu, N >= 1, to ~1e-14 relative."""
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < -0.5 - 1e-12:
-        raise DomainError(f"order must be >= -1/2, got {nu!r}")
-    if int(N) != N or N < 1:
-        raise DomainError(f"zero index must be an integer >= 1, got {N!r}")
-    N = int(N)
+def bessel_j_zeros(nu: float, count: int) -> List[float]:
+    """The first count positive zeros of J_nu, count >= 1, to ~1e-14 relative.
+
+    One scan walks past all of them, so a table costs what its last
+    zero costs; each zero equals bessel_j_zero(nu, N) bit for bit.
+    """
+    nu = check_order(nu)
+    count = require_count("zero count", count, 1)
     x = _first_zero_floor(nu)
+    limit = x + (count + 2) * (math.pi + 3.0) + 2.0 * max(nu, 0.0) + 10.0 * count
     f_prev = _j(nu, x)
-    found = 0
-    limit = x + (N + 2) * (math.pi + 3.0) + 2.0 * max(nu, 0.0) ** (1.0 / 1.0)
-    while x < limit + 10.0 * N:
+    while f_prev == 0.0 and x < limit:
+        # at high order J underflows to an exact zero below its first root
+        x += _STEP
+        f_prev = _j(nu, x)
+    zeros: List[float] = []
+    while x < limit:
         x_next = x + _STEP
         f_next = _j(nu, x_next)
         if f_next == 0.0:
-            found += 1
-            if found == N:
-                return x_next
-            x, f_prev = x_next + 1e-9, _j(nu, x_next + 1e-9)
-            continue
-        if (f_prev > 0.0) != (f_next > 0.0):
-            found += 1
-            if found == N:
-                return _refine(nu, x, x_next)
+            zeros.append(x_next)
+            x_next += 1e-9
+            f_next = _j(nu, x_next)
+        elif (f_prev > 0.0) != (f_next > 0.0):
+            zeros.append(_refine(nu, x, x_next))
+        if len(zeros) == count:
+            return zeros
         x, f_prev = x_next, f_next
-    raise ComputationError(f"failed to locate zero {N} of order {nu}")
+    raise ComputationError(f"failed to locate zero {len(zeros) + 1} of order {nu}")
+
+
+def bessel_j_zero(nu: float, N: int) -> float:
+    """The N-th positive zero of J_nu, N >= 1, to ~1e-14 relative."""
+    return bessel_j_zeros(nu, require_count("zero index", N, 1))[-1]

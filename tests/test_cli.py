@@ -195,6 +195,26 @@ def test_console_script_smoke():
     assert proc.stdout.splitlines()[1].startswith("1,9.86960440109,")
 
 
+def test_zero_table_where_the_order_sweep_lands_on_a_zero():
+    code, out, err = run_cli(["zeros", "--nu", "0.268203", "--count", "2"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1,2.80760836211", "2,5.93388079602"]
+
+
+def test_box_at_high_order_starts_at_the_true_first_zero():
+    # 210.520262549388 is mpmath's first zero of J_199.5
+    code, out, _ = run_cli(["spectrum", "--problem", "infinite-well", "--n", "400",
+                            "--radius", "1", "--levels", "1"])
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(210.520262549388**2, rel=1e-11)
+    # the mode's norm constant divides by J_200.5 at the zero, which is 0 at a spurious one
+    code, out, _ = run_cli(["wavefunction", "--problem", "infinite-well", "--n", "400",
+                            "--radius", "1", "--level", "1", "--samples", "5"])
+    assert code == 0
+    # mpmath: sqrt(2) r^-199.5 J_199.5(z r) / |J_200.5(z)| at r = 0.5
+    assert out.splitlines()[3] == "0.5,1.33180263824e+25"
+
+
 _SP = ["spectrum", "--n", "2", "--problem"]
 _WF = ["wavefunction", "--n", "2", "--problem"]
 _SC = ["scattering", "--n", "2", "--radius", "1", "--eps-from", "1", "--eps-to", "2",

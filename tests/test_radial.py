@@ -25,7 +25,7 @@ from radialqm.radial import (
     reduce,
     whittaker_form_constant,
 )
-from radialqm.radial.wavefunction import BESSEL_Y, Piece, RadialWaveFunction
+from radialqm.radial.wavefunction import BESSEL_K, Piece, RadialWaveFunction
 from radialqm.solvers import (
     delta_bound_wavefunction,
     finite_well_bound_wavefunction,
@@ -87,11 +87,11 @@ def test_energy_level_validation():
 
 def test_piece_validation():
     with pytest.raises(DomainError):
-        Piece(1.0, 0.5, ((BESSEL_Y, 1.0),), 1.0)
+        Piece(1.0, 0.5, ((BESSEL_K, 1.0),), 1.0)
     with pytest.raises(DomainError):
         Piece(0.0, 1.0, (("NoSuchForm", 1.0),), 1.0)
     with pytest.raises(DomainError):
-        Piece(0.0, 1.0, ((BESSEL_Y, 1.0),), -2.0)
+        Piece(0.0, 1.0, ((BESSEL_K, 1.0),), -2.0)
 
 
 def test_wavefunction_ordering_and_eps():
@@ -103,8 +103,8 @@ def test_wavefunction_ordering_and_eps():
             dimension=Dimension(2),
             energy=1.0,
             pieces=(
-                Piece(0.5, 2.0, ((BESSEL_Y, 1.0),), 1.0),
-                Piece(0.0, 1.0, ((BESSEL_Y, 1.0),), 1.0),
+                Piece(0.5, 2.0, ((BESSEL_K, 1.0),), 1.0),
+                Piece(0.0, 1.0, ((BESSEL_K, 1.0),), 1.0),
             ),
         )
 
@@ -135,7 +135,7 @@ def test_irregular_origin_piece_is_rejected():
     bad = RadialWaveFunction(
         dimension=Dimension(3),
         energy=2.0,
-        pieces=(Piece(0.0, math.inf, ((BESSEL_Y, 1.0),), math.sqrt(2.0)),),
+        pieces=(Piece(0.0, math.inf, ((BESSEL_K, 1.0),), math.sqrt(2.0)),),
     )
     with pytest.raises(OriginDivergenceError):
         norm_integral(bad, 10.0, 1e-8)

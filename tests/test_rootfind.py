@@ -47,7 +47,7 @@ def test_log_grid_items_are_the_geometric_formula():
         with pytest.raises(IndexError):
             grid[len(want)]
     with pytest.raises(DomainError):
-        log_grid(2.0, 1.0)
+        log_grid(2.0, 1.0, 512)
 
 
 def _shell_scan(n, gr, stride):

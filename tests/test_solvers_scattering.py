@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from radialqm.errors import ComputationError, DomainError
+from radialqm.errors import ComputationError, DomainError, MatchingError
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import DeltaShell, FiniteWell
 from radialqm.solvers import (
@@ -14,6 +14,7 @@ from radialqm.solvers import (
     finite_well_scattering,
     quantized_transmission_energies,
 )
+from radialqm.solvers.interface import solve_interface
 
 
 def test_shell_exterior_carries_unit_reflection(scales):
@@ -109,3 +110,20 @@ def test_high_order_scattering_overflow_is_an_error(scales):
             delta_scattering(Dimension(n), 3.0, 1.0, eps, scales)
         with pytest.raises(ComputationError, match="double range"):
             finite_well_scattering(Dimension(n), 5.0, 1.0, eps, scales)
+
+
+def test_singular_interface_is_a_matching_error():
+    # an interior mode that is zero with zero slope at R cannot be matched
+    with pytest.raises(MatchingError, match="singular"):
+        solve_interface(0.0, 0.0, 1.0, 0.3, 0.5, -0.2, -0.9)
+
+
+def test_scattering_accepts_zero_depth_and_signed_or_zero_coupling(scales):
+    dim = Dimension(2)
+    for g in (-3.0, 0.0, 3.0):
+        assert delta_scattering(dim, g, 1.0, 2.0, scales).exterior_reflection == pytest.approx(1.0)
+    assert finite_well_scattering(dim, 0.0, 1.0, 2.0, scales).interior_intensity == 4.0
+    with pytest.raises(DomainError, match="well depth must be nonnegative"):
+        finite_well_scattering(dim, -1.0, 1.0, 2.0, scales)
+    with pytest.raises(DomainError, match="scattering energy must be positive and finite, got inf"):
+        delta_scattering(dim, 1.0, 1.0, math.inf, scales)

@@ -13,7 +13,6 @@ from radialqm.specfun import (
     bessel_k,
     bessel_y,
     gamma_fn,
-    hankel,
     hermite,
     hermite_derivative,
     kummer_m,
@@ -66,17 +65,6 @@ def test_half_integer_closed_forms():
         assert bessel_j(0.5, x).value == pytest.approx(front * math.sin(x), abs=1e-14)
         assert bessel_j(-0.5, x).value == pytest.approx(front * math.cos(x), abs=1e-14)
         assert bessel_y(0.5, x).value == pytest.approx(-front * math.cos(x), abs=1e-14)
-
-
-def test_hankel_composition():
-    for nu, x in ((0.0, 1.1), (1.5, 2.0), (3.0, 7.3)):
-        j = bessel_j(nu, x).value
-        y = bessel_y(nu, x).value
-        h1 = hankel(1, nu, x).value
-        h2 = hankel(2, nu, x).value
-        assert h1 == pytest.approx(complex(j, y), rel=1e-13)
-        assert h2 == pytest.approx(complex(j, -y), rel=1e-13)
-        assert (h1 + h2) / 2.0 == pytest.approx(j, rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)

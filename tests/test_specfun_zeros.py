@@ -3,10 +3,36 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from radialqm.errors import DomainError
-from radialqm.specfun import bessel_j, bessel_j_zero
+from radialqm.specfun import bessel_j, bessel_j_zero, bessel_j_zeros, bessel_y
+from radialqm.specfun.zeros import _STEP, _first_zero_floor, _j, _refine
+
+# the orders (n - 1)/2 of the dimensions the benchmark draws
+BENCH_ORDERS = [(n - 1) / 2.0 for n in (0, 1, 2, 3, 4, 5, 9, 25)]
+
+
+def _rescanned_zero(nu, N):
+    """The N-th zero by a fresh scan from the first zero, one scan per N."""
+    x = _first_zero_floor(nu)
+    f_prev = _j(nu, x)
+    found = 0
+    while True:
+        x_next = x + _STEP
+        f_next = _j(nu, x_next)
+        if f_next == 0.0:
+            found += 1
+            if found == N:
+                return x_next
+            x, f_prev = x_next + 1e-9, _j(nu, x_next + 1e-9)
+            continue
+        if (f_prev > 0.0) != (f_next > 0.0):
+            found += 1
+            if found == N:
+                return _refine(nu, x, x_next)
+        x, f_prev = x_next, f_next
 
 
 def test_first_zero_of_order_zero():
@@ -53,3 +79,32 @@ def test_zero_domain_validation():
         bessel_j_zero(0.5, -3)
     with pytest.raises(DomainError):
         bessel_j_zero(-0.6, 1)
+
+
+@pytest.mark.parametrize("nu", BENCH_ORDERS)
+def test_one_pass_table_equals_per_index_scans(nu):
+    table = bessel_j_zeros(nu, 25)
+    assert table == [_rescanned_zero(nu, N) for N in range(1, 26)]
+    assert [table[N - 1] for N in (1, 5, 25)] == [bessel_j_zero(nu, N) for N in (1, 5, 25)]
+
+
+@pytest.mark.parametrize("nu, N", [(0.268203, 2), (0.180675, 6)])
+def test_zero_where_the_order_sweep_lands_on_a_zero(nu, N):
+    # Newton's slope evaluates J_{nu+1} at a zero of J_nu, where the one-step
+    # backward sweep of the continued-fraction regime hits J_nu = 0 exactly
+    want = float(mpmath.besseljzero(nu, N))
+    assert bessel_j_zero(nu, N) == pytest.approx(want, rel=1e-14)
+    z = bessel_j_zero(nu, N)
+    assert bessel_j(nu + 1.0, z).value == pytest.approx(float(mpmath.besselj(nu + 1.0, z)), rel=1e-13)
+    assert bessel_y(nu + 1.0, z).value == pytest.approx(float(mpmath.bessely(nu + 1.0, z)), rel=1e-13)
+
+
+# float(mpmath.besseljzero(nu, N)); computed once, as mpmath takes seconds at this order
+@pytest.mark.parametrize("nu, N, want", [
+    (180.0, 1, 190.66094899323141),
+    (199.5, 1, 210.520262549388),
+    (199.5, 2, 218.9987202516306),
+])
+def test_high_order_zeros_skip_the_underflowed_start(nu, N, want):
+    # J underflows to an exact zero near 2 sqrt(nu + 1); that is no root
+    assert bessel_j_zero(nu, N) == pytest.approx(want, rel=1e-14)
