@@ -329,11 +329,7 @@ def _wavefunction_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
         psi = delta_bound_wavefunction(dim, float(p["gamma"]), float(p["radius"]), sc)
         span = float(p["radius"]) + 4.0 / math.sqrt(psi.eps)
     r_max = float(p.get("r_max", span))
-    rows = []
-    for r in _sample_grid(r_max, int(p["samples"])):
-        value = psi.sample(r)
-        rows.append((r, float(value.real) if isinstance(value, complex) else float(value)))
-    return rows, None
+    return [(r, float(psi.sample(r))) for r in _sample_grid(r_max, int(p["samples"]))], None
 
 
 def _scattering_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:

@@ -349,8 +349,12 @@ def _printed_oscillator_mass(n: int, N: int, mu: float) -> float:
     return float(np.trapezoid(f, r))
 
 
-def _discrepancies(sc: PhysicalScales) -> List[Dict]:
-    """Every printed-formula mismatch, with freshly computed evidence."""
+def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Dict]:
+    """Every printed-formula mismatch, with freshly computed evidence.
+
+    rows holds the report's comparison rows by id; an entry that cites the
+    oracle copies the swept values from them.
+    """
     entries: List[Dict] = []
     dim1 = Dimension(1)
     dim2 = Dimension(2)
@@ -572,6 +576,8 @@ def _discrepancies(sc: PhysicalScales) -> List[Dict]:
                 "abs_difference": abs(sa.interior_intensity - sb.interior_intensity),
                 "attractive_exterior_reflection": sa.exterior_reflection,
                 "barrier_exterior_reflection": sb.exterior_reflection,
+                "attractive_oracle_interior_intensity": rows["delta_scattering_attractive_n1"].oracle,
+                "barrier_oracle_interior_intensity": rows["delta_scattering_barrier_n1"].oracle,
             },
             "resolution": "the interior field carries a coupling-odd cross term, so "
             "only the exterior reflection is sign-blind; the independent integration "
@@ -605,7 +611,7 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
         },
         "rows": [asdict(row) for row, _ in pairs],
         "all_converged": bool(within and converged),
-        "discrepancies": _discrepancies(sc),
+        "discrepancies": _discrepancies(sc, {row.id: row for row, _ in pairs}),
     }
 
 

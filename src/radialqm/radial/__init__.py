@@ -1,8 +1,6 @@
 """Domain model, wave-function pieces, and r^n-weighted integrals."""
 
 from .model import (
-    BOUND,
-    SCATTERING,
     DeltaShell,
     Dimension,
     EnergyLevel,
@@ -42,8 +40,6 @@ __all__ = [
     "ReducedEquation",
     "reduce",
     "whittaker_form_constant",
-    "BOUND",
-    "SCATTERING",
     "Piece",
     "RadialWaveFunction",
     "ALL_TAGS",

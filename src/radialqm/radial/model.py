@@ -123,37 +123,26 @@ class FiniteWell:
 
 Potential = Union[InfiniteWell, Harmonic, Free, DeltaShell, FiniteWell]
 
-BOUND = "bound"
-SCATTERING = "scattering"
-
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    """One spectrum entry: quantum number, reduced and physical energy."""
+    """One bound-spectrum entry: quantum number, reduced and physical energy."""
 
     N: int
     eps: float
     E: float
-    sign: str
 
     def __post_init__(self) -> None:
         require_count("quantum number", self.N, 0)
-        if self.sign not in (BOUND, SCATTERING):
-            raise DomainError(f"level kind must be 'bound' or 'scattering', got {self.sign!r}")
 
     @classmethod
     def bound(cls, N: int, eps: float, scales: PhysicalScales) -> "EnergyLevel":
-        return cls(N=N, eps=eps, E=scales.physical_energy(eps), sign=BOUND)
+        return cls(N=N, eps=eps, E=scales.physical_energy(eps))
 
     @classmethod
     def bound_magnitude(cls, N: int, eps_signed: float, scales: PhysicalScales) -> "EnergyLevel":
         """Negative-energy level stored by |eps|, physical E kept signed."""
-        return cls(
-            N=N,
-            eps=abs(eps_signed),
-            E=scales.physical_energy(eps_signed),
-            sign=BOUND,
-        )
+        return cls(N=N, eps=abs(eps_signed), E=scales.physical_energy(eps_signed))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ fraction of the requested tolerance.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Optional
 
 from ..errors import (
     ComputationError,
@@ -32,13 +32,8 @@ from .wavefunction import (
 
 # Fraction of the tolerance granted to the truncated analytic tail.
 _TAIL_FRACTION = 1e-3
-
-
-def _square(value: Union[float, complex]) -> float:
-    """|value|^2 of a real or complex sample."""
-    if isinstance(value, complex):
-        return value.real * value.real + value.imag * value.imag
-    return value * value
+# Relative accuracy of the norm constant of every normalized mode.
+_NORM_TOL = 1e-10
 
 
 def _abs_coeff_sum_hermite(N: int) -> float:
@@ -98,9 +93,8 @@ def _gauss_tail(piece: Piece, n: int, norm_constant: float, budget: float,
     harmonic_v_coeff = (1/2) m omega^2 is nonzero, for the potential.
     """
     mu = piece.scale
-    coeff = max(abs(complex(c)) for _, c in piece.terms)
-    amp_front = (norm_constant * coeff) ** 2 / (2.0 * mu ** (0.5 * (n + 1)))
-    if piece.terms[0][0] == GAUSS_LAGUERRE:
+    amp_front = (norm_constant * abs(piece.coeff)) ** 2 / (2.0 * mu ** (0.5 * (n + 1)))
+    if piece.tag == GAUSS_LAGUERRE:
         poly = _abs_coeff_sum_laguerre(piece.degree, piece.alpha)
         slope = 2.0 * _abs_coeff_sum_laguerre(piece.degree - 1, piece.alpha + 1.0) + poly \
             if piece.degree > 0 else poly
@@ -135,8 +129,7 @@ def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float,
     density does the same with order nu+1 and a kappa^2 factor.
     """
     kappa = piece.scale
-    coeff = max(abs(complex(c)) for _, c in piece.terms)
-    front = (norm_constant * coeff) ** 2
+    front = (norm_constant * abs(piece.coeff)) ** 2
     if kin_scale is not None:
         front *= kin_scale * kappa * kappa
         order = nu + 1.0
@@ -150,23 +143,6 @@ def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float,
             return r0, bound
         r0 *= 1.25
     raise ComputationError("could not certify an exponential tail truncation radius")
-
-
-def _classify_unbounded(piece: Piece) -> str:
-    tags = {tag for tag, coeff in piece.terms if coeff != 0.0}
-    if BESSEL_J in tags:
-        raise NonNormalizableError(
-            "oscillatory piece extends to infinity; the mode is not square-integrable"
-        )
-    if BESSEL_I in tags:
-        raise DivergenceError(
-            "exponentially growing piece extends to infinity; integral diverges"
-        )
-    if tags <= {BESSEL_K}:
-        return "exponential"
-    if tags <= GAUSS_TAGS:
-        return "gaussian"
-    raise DivergenceError(f"cannot certify decay for tags {sorted(tags)}")
 
 
 def _check_origin(psi: RadialWaveFunction) -> None:
@@ -192,13 +168,22 @@ def _segments(psi: RadialWaveFunction, r_max: float, budget_tail: float,
             segments.append((lo, min(piece.r_hi, r_max)))
             continue
         if math.isinf(r_max):
-            kind = _classify_unbounded(piece)
-            if kind == "exponential":
-                cut, bound = _k_tail(piece, psi.dimension.nu, psi.norm_constant,
-                                     budget_tail, kin_scale)
-            else:
+            # a zero coefficient decays like anything: bound it as a K tail
+            tag = piece.tag if piece.coeff != 0.0 else BESSEL_K
+            if tag == BESSEL_J:
+                raise NonNormalizableError(
+                    "oscillatory piece extends to infinity; the mode is not square-integrable"
+                )
+            if tag == BESSEL_I:
+                raise DivergenceError(
+                    "exponentially growing piece extends to infinity; integral diverges"
+                )
+            if tag in GAUSS_TAGS:
                 cut, bound = _gauss_tail(piece, psi.dimension.n, psi.norm_constant,
                                          budget_tail, kin_scale, harmonic_v_coeff)
+            else:
+                cut, bound = _k_tail(piece, psi.dimension.nu, psi.norm_constant,
+                                     budget_tail, kin_scale)
             if cut > lo:
                 segments.append((lo, cut))
             tail_total += bound
@@ -217,7 +202,8 @@ def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
     n = psi.dimension.n
 
     def integrand(r: float) -> float:
-        return r**n * _square(psi.sample(r))
+        value = psi.sample(r)
+        return r**n * (value * value)
 
     segments, _ = _segments(psi, r_max, budget_tail=tol * _TAIL_FRACTION)
     per_segment_tol = tol * (1.0 - _TAIL_FRACTION) / len(segments)
@@ -228,16 +214,15 @@ def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
     return total
 
 
-def normalize(psi: RadialWaveFunction, tol: float) -> RadialWaveFunction:
-    """Copy of psi scaled so the r^n-weighted norm equals 1 within tol."""
-    coarse_tol = max(1.0, tol)
-    value = norm_integral(psi, math.inf, coarse_tol)
+def normalize(psi: RadialWaveFunction) -> RadialWaveFunction:
+    """Copy of psi scaled so the r^n-weighted norm equals 1 within _NORM_TOL."""
+    value = norm_integral(psi, math.inf, 1.0)
     if not (value > 0.0 and math.isfinite(value)):
         raise ComputationError(f"norm integral came out {value!r}; cannot normalize")
-    # The final scale must carry relative error below tol, so re-integrate
-    # with the absolute target implied by the coarse magnitude.
-    target = 0.5 * tol * value
-    if target < coarse_tol:
+    # The final scale must carry relative error below _NORM_TOL, so
+    # re-integrate with the absolute target implied by the coarse magnitude.
+    target = 0.5 * _NORM_TOL * value
+    if target < 1.0:
         value = norm_integral(psi, math.inf, target)
     return psi.with_norm_constant(psi.norm_constant / math.sqrt(value))
 
@@ -272,10 +257,12 @@ def energy_functional(
                        if isinstance(potential, Harmonic) else 0.0)
 
     def integrand(r: float) -> float:
-        total = kin_scale * _square(psi.derivative(r))
+        slope = psi.derivative(r)
+        total = kin_scale * (slope * slope)
         v = _potential_value(potential, scales, r)
         if v != 0.0:
-            total += v * _square(psi.sample(r))
+            value = psi.sample(r)
+            total += v * (value * value)
         return r**n * total
 
     segments, _ = _segments(psi, math.inf, budget_tail=tol * _TAIL_FRACTION,
@@ -296,5 +283,6 @@ def energy_functional(
         value, _ = integrate(integrand, lo, hi, per_segment_tol)
         total += value
     if isinstance(potential, DeltaShell):
-        total += potential.sign * potential.g * potential.R**n * _square(psi.sample(potential.R))
+        value = psi.sample(potential.R)
+        total += potential.sign * potential.g * potential.R**n * (value * value)
     return total

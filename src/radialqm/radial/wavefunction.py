@@ -1,9 +1,9 @@
 """Piecewise radial wave-functions built from tagged analytic forms.
 
-A wave-function is a list of pieces, each an interval on r >= 0 plus a
-linear combination of symbolic forms.  The cylinder tag (BesselJ) and the
-modified tags (BesselI, BesselK) denote amplitude r^(-nu) * Z_nu(scale * r);
-the Gauss tags denote the oscillator families
+A wave-function is a list of pieces, each an interval on r >= 0 plus one
+symbolic form times a real coefficient.  The cylinder tag (BesselJ) and
+the modified tags (BesselI, BesselK) denote amplitude
+r^(-nu) * Z_nu(scale * r); the Gauss tags denote the oscillator families
 exp(-scale*r^2/2) * L_N^(alpha)(scale*r^2) and
 exp(-scale*r^2/2) * H_N(sqrt(scale)*r).  Tags keep solutions
 introspectable: normalization chooses its tail bound by tag instead of
@@ -48,8 +48,6 @@ _CYLINDER = {
 IRREGULAR_TAGS = frozenset({BESSEL_K})
 GAUSS_TAGS = frozenset({GAUSS_LAGUERRE, GAUSS_HERMITE})
 
-Coefficient = Union[float, complex]
-
 
 def _radial_power(r: float, nu: float) -> float:
     """r^(-nu), the factor that turns Z_nu(k r) into a radial mode."""
@@ -68,16 +66,17 @@ def _require_regular(tag: str) -> None:
 
 @dataclass(frozen=True)
 class Piece:
-    """One interval of a radial solution.
+    """One interval of a radial solution: coeff times the form named by tag.
 
-    terms pairs a form tag with its coefficient; scale is the wavenumber
-    k (cylinder/modified families) or the inverse-square length mu
-    (Gauss families).  degree and alpha only apply to the Gauss tags.
+    scale is the wavenumber k (cylinder/modified families) or the
+    inverse-square length mu (Gauss families).  degree and alpha only
+    apply to the Gauss tags.
     """
 
     r_lo: float
     r_hi: float
-    terms: tuple[tuple[str, Coefficient], ...]
+    tag: str
+    coeff: float
     scale: float
     degree: Optional[int] = None
     alpha: Optional[float] = None
@@ -87,16 +86,10 @@ class Piece:
             raise DomainError(f"piece lower bound must be finite and >= 0, got {self.r_lo!r}")
         if not self.r_hi > self.r_lo:
             raise DomainError(f"piece needs r_hi > r_lo, got [{self.r_lo!r}, {self.r_hi!r}]")
-        if not self.terms:
-            raise DomainError("piece needs at least one term")
-        for tag, _ in self.terms:
-            if tag not in ALL_TAGS:
-                raise DomainError(f"unknown form tag {tag!r}")
+        if self.tag not in ALL_TAGS:
+            raise DomainError(f"unknown form tag {self.tag!r}")
         require_positive("piece scale", self.scale)
-        gauss = [tag in GAUSS_TAGS for tag, _ in self.terms]
-        if any(gauss) and not all(gauss):
-            raise DomainError("cannot mix Gauss forms with cylinder forms in one piece")
-        if any(gauss) and self.degree is None:
+        if self.tag in GAUSS_TAGS and self.degree is None:
             raise DomainError("Gauss forms need a polynomial degree")
 
     @property
@@ -107,29 +100,27 @@ class Piece:
         return self.r_lo <= r <= self.r_hi
 
     def irregular_at_origin(self) -> bool:
-        return self.r_lo == 0.0 and any(
-            tag in IRREGULAR_TAGS and coeff != 0.0 for tag, coeff in self.terms
-        )
+        return self.r_lo == 0.0 and self.tag in IRREGULAR_TAGS and self.coeff != 0.0
 
-    def _term_value(self, tag: str, nu: float, r: float) -> Coefficient:
-        if tag in GAUSS_TAGS:
+    def _form_value(self, nu: float, r: float) -> float:
+        if self.tag in GAUSS_TAGS:
             mu = self.scale
             envelope = math.exp(-0.5 * mu * r * r)
-            if tag == GAUSS_LAGUERRE:
+            if self.tag == GAUSS_LAGUERRE:
                 return envelope * laguerre(self.degree, self.alpha, mu * r * r)
             return envelope * hermite(self.degree, math.sqrt(mu) * r)
         if r == 0.0:
             # the limit of r^(-nu) Z_nu(k r), finite for the regular forms
-            _require_regular(tag)
+            _require_regular(self.tag)
             return (0.5 * self.scale) ** nu / gamma_fn(nu + 1.0).value
-        kernel, _ = _CYLINDER[tag]
+        kernel, _ = _CYLINDER[self.tag]
         return _radial_power(r, nu) * kernel(nu, self.scale * r).value
 
-    def _term_derivative(self, tag: str, nu: float, r: float) -> Coefficient:
-        if tag in GAUSS_TAGS:
+    def _form_derivative(self, nu: float, r: float) -> float:
+        if self.tag in GAUSS_TAGS:
             mu = self.scale
             envelope = math.exp(-0.5 * mu * r * r)
-            if tag == GAUSS_LAGUERRE:
+            if self.tag == GAUSS_LAGUERRE:
                 z = mu * r * r
                 poly = laguerre(self.degree, self.alpha, z)
                 slope = laguerre_derivative(self.degree, self.alpha, z)
@@ -140,27 +131,19 @@ class Piece:
             return envelope * (root * slope - mu * r * poly)
         if r == 0.0:
             # r^(-nu) Z_(nu+1)(k r) ~ r -> 0 for every nu >= -1/2
-            _require_regular(tag)
+            _require_regular(self.tag)
             return 0.0
         k = self.scale
-        kernel, sign = _CYLINDER[tag]
+        kernel, sign = _CYLINDER[self.tag]
         return sign * k * _radial_power(r, nu) * kernel(nu + 1.0, k * r).value
 
-    def amplitude(self, nu: float, r: float) -> Coefficient:
-        total: Coefficient = 0.0
-        for tag, coeff in self.terms:
-            if coeff == 0.0:
-                continue
-            total += coeff * self._term_value(tag, nu, r)
-        return total
+    # A zero coefficient never evaluates its form (0 * inf is nan), and
+    # 0.0 + turns a -0.0 product into +0.0.
+    def amplitude(self, nu: float, r: float) -> float:
+        return 0.0 if self.coeff == 0.0 else 0.0 + self.coeff * self._form_value(nu, r)
 
-    def amplitude_derivative(self, nu: float, r: float) -> Coefficient:
-        total: Coefficient = 0.0
-        for tag, coeff in self.terms:
-            if coeff == 0.0:
-                continue
-            total += coeff * self._term_derivative(tag, nu, r)
-        return total
+    def amplitude_derivative(self, nu: float, r: float) -> float:
+        return 0.0 if self.coeff == 0.0 else 0.0 + self.coeff * self._form_derivative(nu, r)
 
 
 @dataclass(frozen=True)
@@ -200,14 +183,14 @@ class RadialWaveFunction:
                 return idx
         return -1
 
-    def sample(self, r: float) -> Coefficient:
+    def sample(self, r: float) -> float:
         idx = self.piece_index_at(r)
         if idx < 0:
             return 0.0
         value = self.pieces[idx].amplitude(self.dimension.nu, r)
         return self.norm_constant * value
 
-    def derivative(self, r: float) -> Coefficient:
+    def derivative(self, r: float) -> float:
         idx = self.piece_index_at(r)
         if idx < 0:
             return 0.0

@@ -31,7 +31,6 @@ from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import log_grid, scan_roots
 
 _EULER = 0.5772156649015329
-_NORM_TOL = 1e-10
 _COEFF_LIMIT = 650.0
 
 
@@ -107,11 +106,11 @@ def delta_bound_wavefunction(
     a = bessel_k(dim.nu, xr).value
     b = bessel_i(dim.nu, xr).value
     pieces = (
-        Piece(0.0, R, ((BESSEL_I, a),), scale=kappa),
-        Piece(R, math.inf, ((BESSEL_K, b),), scale=kappa),
+        Piece(0.0, R, BESSEL_I, a, scale=kappa),
+        Piece(R, math.inf, BESSEL_K, b, scale=kappa),
     )
     psi = RadialWaveFunction(dim, level, pieces)
-    return normalize(psi, _NORM_TOL)
+    return normalize(psi)
 
 
 def delta_scattering(

@@ -33,7 +33,6 @@ from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import scan_roots, uniform_grid
 
-_NORM_TOL = 1e-10
 _SCALED_COEFF_LIMIT = 330.0
 _EDGE = 1.0 - 1e-10
 
@@ -118,11 +117,11 @@ def finite_well_bound_wavefunction(
     a = scaled_bessel_k(dim.nu, kr).value
     b = bessel_j(dim.nu, q * R).value * math.exp(kr)
     pieces = (
-        Piece(0.0, R, ((BESSEL_J, a),), scale=q),
-        Piece(R, math.inf, ((BESSEL_K, b),), scale=kappa),
+        Piece(0.0, R, BESSEL_J, a, scale=q),
+        Piece(R, math.inf, BESSEL_K, b, scale=kappa),
     )
     psi = RadialWaveFunction(dim, level, pieces)
-    return normalize(psi, _NORM_TOL)
+    return normalize(psi)
 
 
 def finite_well_scattering(

@@ -16,5 +16,5 @@ def free_mode(dim: Dimension, eps: float) -> RadialWaveFunction:
     """Unit-amplitude regular mode at reduced energy eps > 0."""
     eps = require_positive("mode energy", eps)
     k = math.sqrt(eps)
-    piece = Piece(0.0, math.inf, ((BESSEL_J, 1.0),), scale=k)
+    piece = Piece(0.0, math.inf, BESSEL_J, 1.0, scale=k)
     return RadialWaveFunction(dim, eps, (piece,))

@@ -42,6 +42,6 @@ def infinite_well_wavefunction(
     k = z / R
     # weighted square integrates to (R^2/2) J_{nu+1}(z)^2 for unit amplitude
     c = math.sqrt(2.0) / (R * abs(bessel_j(dim.nu + 1.0, z).value))
-    piece = Piece(0.0, R, ((BESSEL_J, c),), scale=k)
+    piece = Piece(0.0, R, BESSEL_J, c, scale=k)
     level = EnergyLevel.bound(N, k * k, scales)
     return RadialWaveFunction(dim, level, (piece,))

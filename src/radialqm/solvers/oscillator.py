@@ -23,8 +23,6 @@ from ..radial import (
 )
 from ..radial.norms import normalize
 
-_NORM_TOL = 1e-10
-
 
 def oscillator_spectrum(
     dim: Dimension, omega: float, count: int, scales: PhysicalScales
@@ -52,16 +50,9 @@ def oscillator_wavefunction(
     mu = scales.oscillator_scale(omega)
     if dim.n == 0:
         eps = 2.0 * mu * (N + 0.5)
-        piece = Piece(0.0, math.inf, ((GAUSS_HERMITE, 1.0),), scale=mu, degree=N)
+        piece = Piece(0.0, math.inf, GAUSS_HERMITE, 1.0, scale=mu, degree=N)
     else:
         eps = 2.0 * mu * (2.0 * N + 0.5 * (dim.n + 1))
-        piece = Piece(
-            0.0,
-            math.inf,
-            ((GAUSS_LAGUERRE, 1.0),),
-            scale=mu,
-            degree=N,
-            alpha=dim.nu,
-        )
+        piece = Piece(0.0, math.inf, GAUSS_LAGUERRE, 1.0, scale=mu, degree=N, alpha=dim.nu)
     psi = RadialWaveFunction(dim, EnergyLevel.bound(N, eps, scales), (piece,))
-    return normalize(psi, _NORM_TOL)
+    return normalize(psi)

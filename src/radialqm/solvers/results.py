@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..errors import DomainError, require_positive
-
 
 @dataclass(frozen=True)
 class TranscendentalRoot:
@@ -19,11 +17,6 @@ class TranscendentalRoot:
     eps: float
     residual: float
     bracket: Tuple[float, float]
-
-    def __post_init__(self) -> None:
-        require_positive("root energy", self.eps)
-        if len(self.bracket) != 2:
-            raise DomainError("bracket must hold exactly two endpoints")
 
 
 @dataclass(frozen=True)
@@ -45,9 +38,6 @@ class ScatteringResult:
     interior_intensity: float
     paper_T: float
 
-    def __post_init__(self) -> None:
-        require_positive("scattering energy", self.eps)
-
 
 @dataclass(frozen=True)
 class ClosureProbe:
@@ -58,9 +48,3 @@ class ClosureProbe:
     r_max: float
     smear_width: float
     value: float
-
-    def __post_init__(self) -> None:
-        require_positive("wavenumber k", self.k)
-        require_positive("wavenumber k_prime", self.k_prime)
-        require_positive("r_max", self.r_max)
-        require_positive("smear width", self.smear_width)

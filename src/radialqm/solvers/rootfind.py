@@ -7,18 +7,25 @@ accurate to a few ulp whenever the residual is continuous.
 A scan may sample only every stride-th grid point.  Each sampled sign
 change is then bisected over grid indices down to the one grid cell that
 holds it, so the root comes out exactly as a full scan of the grid would
-give it, provided no sampled interval holds more than one crossing.
+give it, provided no sampled interval holds more than one crossing.  Two
+crossings between neighbouring samples show as a sample nearer zero than
+the samples on either side, all of one sign.  There the scan searches the
+grid between those neighbours for the residual's extremum, and if the
+extremum has crossed zero, it bisects each side as above.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ComputationError, DomainError, require_count
 
 RootRecord = Tuple[float, float, Tuple[float, float]]
 
 _MIN_CELLS = 64
+# A turn toward zero smaller than this, relative to the sample, is rounding
+# noise on a flat residual (the shell product near x = 0), not a dip.
+_TURN_NOISE = 1e-9
 
 
 class LogGrid(Sequence[float]):
@@ -63,18 +70,13 @@ def uniform_grid(lo: float, hi: float, max_step: float) -> List[float]:
 
 
 def bisect(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_lo: float,
-    f_hi: float,
-    max_iter: int = 200,
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float
 ) -> RootRecord:
     """Shrink a strict sign-change bracket to floating-point resolution."""
     if (f_lo > 0.0) == (f_hi > 0.0) or f_lo == 0.0 or f_hi == 0.0:
         raise ComputationError("bisection needs a strict sign-change bracket")
     a, b, fa, fb = lo, hi, f_lo, f_hi
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         if not (a < mid < b):
             break
@@ -99,7 +101,9 @@ def scan_roots(
     indices to the grid cell that holds it, then bisected in floating
     point from that cell.  An exact zero on a grid point is reported once
     per run of zeros, at the run's first point, bracketed by its grid
-    neighbours.  With stride 1 every grid point is evaluated.
+    neighbours.  With stride 1 every grid point is evaluated.  A sample
+    that turns toward zero has the grid between its sampled neighbours
+    searched for a pair of crossings (see the module docstring).
     """
     stride = require_count("scan stride", stride, 1)
     size = len(grid)
@@ -116,6 +120,27 @@ def scan_roots(
     for i in samples:
         value(i)
 
+    def turn(j: int) -> Optional[int]:
+        # a grid index of opposite sign near a sample that turns toward zero
+        here = values[samples[j]]
+        near = [values[samples[k]] for k in (j - 1, j + 1) if 0 <= k < len(samples)]
+        rise = [abs(v) - abs(here) if (v > 0.0) == (here > 0.0) else 0.0 for v in near]
+        if here == 0.0 or min(rise, default=0.0) <= _TURN_NOISE * abs(here):
+            return None
+        g = lambda i: value(i) if here > 0.0 else -value(i)
+        lo, hi = samples[max(j - 1, 0)], samples[min(j + 1, len(samples) - 1)]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if g(mid) <= 0.0 or g(mid + 1) <= 0.0:
+                return mid if g(mid) <= 0.0 else mid + 1
+            if g(mid + 1) < g(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return None
+
+    turns = [turn(j) for j in range(len(samples))]
+    samples = sorted(set(samples).union(i for i in turns if i is not None))
     out: List[RootRecord] = []
 
     def zero_at(i: int, floor: int) -> None:

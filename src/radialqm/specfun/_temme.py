@@ -75,3 +75,25 @@ def gamma_pair_small(mu: float):
     g1 = -e_even * odd_over_mu * _sinhc(odd)
     g2 = e_even * math.cosh(odd)
     return g1, g2, rg_plus, rg_minus
+
+
+def temme_start(mu: float, x: float):
+    """(f_0, p_0, q_0) that start the small-x series of Y_mu and K_mu.
+
+    |mu| <= 1/2 and 0 < x <= 2 (Temme's method).
+    """
+    g1, g2, rg_plus, rg_minus = gamma_pair_small(mu)
+    ln2x = math.log(2.0 / x)
+    sigma = mu * ln2x
+    sinhc = (
+        1.0 + sigma * sigma / 6.0 * (1.0 + sigma * sigma / 20.0)
+        if abs(sigma) < 1e-5
+        else math.sinh(sigma) / sigma
+    )
+    pimu = math.pi * mu
+    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
+    half_x_mu = (0.5 * x) ** mu
+    f = fact * (g1 * math.cosh(sigma) + g2 * ln2x * sinhc)
+    p = 0.5 / (half_x_mu * rg_plus)
+    q = 0.5 * half_x_mu / rg_minus
+    return f, p, q

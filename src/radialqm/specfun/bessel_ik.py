@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 
-from ..errors import ComputationError, DomainError
-from ._temme import gamma_pair_small
-from .gammafn import gamma_fn
-from .order import check_order
+from ..errors import ComputationError
+from ._temme import temme_start
+from .gammafn import gamma_plus_one
+from .order import check_args, origin_value
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
@@ -28,17 +28,21 @@ _MAX_SERIES = 2600
 
 def _i_series(nu: float, x: float):
     """(I_nu, I'_nu, est) by the ascending series; x > 0."""
-    g = gamma_fn(nu + 1.0)
+    g, g_rel = gamma_plus_one(nu)
     try:
-        seed = (0.5 * x) ** nu / g.value
+        seed = (0.5 * x) ** nu / g
+        seed_rel = 2.0 * _EPS
     except OverflowError:
         # (x/2)^nu alone leaves the double range; the ratio may not
-        log_seed = nu * math.log(0.5 * x) - math.log(g.value)
+        log_seed = nu * math.log(0.5 * x) - math.log(g)
         if log_seed > _LOG_MAX:
             return math.inf, math.inf, math.inf
         seed = math.exp(log_seed)
+        # the logs round relative to their own size, exp turns that into relative error
+        seed_rel = 2.0 * _EPS * (abs(nu * math.log(0.5 * x)) + abs(math.log(g)) + 1.0)
     if seed == 0.0:
         return 0.0, 0.0, 5e-324
+    seed_rel += g_rel
     z = 0.25 * x * x
     terms = [seed]
     dterms = [seed * nu / x]
@@ -58,25 +62,15 @@ def _i_series(nu: float, x: float):
     deriv = math.fsum(dterms)
     if math.isinf(value):
         return math.inf, math.inf, math.inf
-    return value, deriv, 2.0 * _EPS * value
+    # rounding, which grows along the term recurrence, plus the seed's
+    # error, which scales every term
+    rel = (2.0 + math.sqrt(len(terms))) * _EPS + seed_rel
+    return value, deriv, max(rel * value, 5e-324 * len(terms))
 
 
 def _temme_k_scaled(mu: float, x: float):
     """(e^x K_mu, e^x K_{mu+1}) for |mu| <= 1/2, 0 < x <= 2."""
-    g1, g2, rg_plus, rg_minus = gamma_pair_small(mu)
-    ln2x = math.log(2.0 / x)
-    sigma = mu * ln2x
-    sinhc = (
-        1.0 + sigma * sigma / 6.0 * (1.0 + sigma * sigma / 20.0)
-        if abs(sigma) < 1e-5
-        else math.sinh(sigma) / sigma
-    )
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-    half_x_mu = (0.5 * x) ** mu
-    f = fact * (g1 * math.cosh(sigma) + g2 * ln2x * sinhc)
-    p = 0.5 / (half_x_mu * rg_plus)
-    q = 0.5 * half_x_mu / rg_minus
+    f, p, q = temme_start(mu, x)
     z = 0.25 * x * x
     d = 1.0
     sum_k = f
@@ -158,16 +152,9 @@ def _k_scaled_engine(nu: float, x: float):
 
 def bessel_i(nu: float, x: float) -> EvalResult:
     """I_nu(x) for nu >= -1/2, x >= 0; overflow is flagged, not raised."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel_i requires x >= 0, got {x!r}")
+    nu, x = check_args("bessel_i", nu, x, origin=True)
     if x == 0.0:
-        if nu == 0.0:
-            return EvalResult(1.0, _EPS)
-        if nu > 0.0:
-            return EvalResult(0.0, 0.0)
-        return overflow_result()
+        return origin_value(nu)
     value, _, est = _i_series(nu, x)
     if math.isinf(value):
         return overflow_result()
@@ -176,10 +163,7 @@ def bessel_i(nu: float, x: float) -> EvalResult:
 
 def bessel_k(nu: float, x: float) -> EvalResult:
     """K_nu(x) for nu >= -1/2, x > 0."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"bessel_k requires x > 0, got {x!r}")
+    nu, x = check_args("bessel_k", nu, x, origin=False)
     k_nu, _, rel = _k_scaled_engine(nu, x)
     if math.isinf(k_nu) or math.isinf(rel):
         return overflow_result()
@@ -189,10 +173,7 @@ def bessel_k(nu: float, x: float) -> EvalResult:
 
 def scaled_bessel_k(nu: float, x: float) -> EvalResult:
     """e^x K_nu(x): internal helper for deep-decay ratios (not public API)."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"scaled_bessel_k requires x > 0, got {x!r}")
+    nu, x = check_args("scaled_bessel_k", nu, x, origin=False)
     k_nu, _, rel = _k_scaled_engine(nu, x)
     if math.isinf(k_nu) or math.isinf(rel):
         return overflow_result()
@@ -201,16 +182,9 @@ def scaled_bessel_k(nu: float, x: float) -> EvalResult:
 
 def scaled_bessel_i(nu: float, x: float) -> EvalResult:
     """e^{-x} I_nu(x): pairs with scaled_bessel_k where I alone overflows."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"scaled_bessel_i requires x >= 0, got {x!r}")
+    nu, x = check_args("scaled_bessel_i", nu, x, origin=True)
     if x == 0.0:
-        if nu == 0.0:
-            return EvalResult(1.0, _EPS)
-        if nu > 0.0:
-            return EvalResult(0.0, 0.0)
-        return overflow_result()
+        return origin_value(nu)
     if x <= 600.0:
         # series value stays inside double range up to x ~ 700
         value, _, est = _i_series(nu, x)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 
-from ..errors import ComputationError, DomainError
-from ._temme import gamma_pair_small
-from .gammafn import gamma_fn
-from .order import check_order
+from ..errors import ComputationError
+from ._temme import temme_start
+from .gammafn import gamma_plus_one
+from .order import check_args, origin_value
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
@@ -45,8 +45,8 @@ def _asym_region(nu: float, x: float) -> bool:
 
 def _j_series(nu: float, x: float):
     """(J_nu, J'_nu, est_abs_error) by the ascending series; x > 0."""
-    g = gamma_fn(nu + 1.0)
-    seed = (0.5 * x) ** nu / g.value
+    g, g_rel = gamma_plus_one(nu)
+    seed = (0.5 * x) ** nu / g
     if seed == 0.0:
         # below the double range; the derivative is equally negligible
         return 0.0, 0.0, 5e-324
@@ -67,27 +67,17 @@ def _j_series(nu: float, x: float):
         raise ComputationError("first-kind series did not converge")
     value = math.fsum(terms)
     deriv = math.fsum(dterms)
-    est = 2.0 * _EPS * (peak + abs(value))
-    return value, deriv, est
+    # rounding, which grows along the term recurrence, plus the seed's
+    # error, which scales every term
+    seed_rel = g_rel + 2.0 * _EPS
+    est = (2.0 + math.sqrt(len(terms))) * _EPS * (peak + abs(value)) + seed_rel * abs(value)
+    return value, deriv, max(est, 5e-324 * len(terms))
 
 
 def _temme_y(mu: float, x: float):
     """(Y_mu, Y_{mu+1}) for |mu| <= 1/2 and 0 < x <= 2, by the small-x series."""
-    g1, g2, rg_plus, rg_minus = gamma_pair_small(mu)
-    ln2x = math.log(2.0 / x)
-    sigma = mu * ln2x
-    sinhc = (
-        1.0 + sigma * sigma / 6.0 * (1.0 + sigma * sigma / 20.0)
-        if abs(sigma) < 1e-5
-        else math.sinh(sigma) / sigma
-    )
-    pimu = math.pi * mu
-    fact = 1.0 if abs(pimu) < 1e-15 else pimu / math.sin(pimu)
-    half_x_mu = (0.5 * x) ** mu
-    f = fact * (g1 * math.cosh(sigma) + g2 * ln2x * sinhc)
-    p = 0.5 / (half_x_mu * rg_plus)
-    q = 0.5 * half_x_mu / rg_minus
-    half_pimu = 0.5 * pimu
+    f, p, q = temme_start(mu, x)
+    half_pimu = 0.5 * (math.pi * mu)
     if abs(mu) < 1e-8:
         e_factor = mu * (math.pi * math.pi / 2.0) * (1.0 - half_pimu * half_pimu / 3.0)
     else:
@@ -276,16 +266,9 @@ def _engine(nu: float, x: float):
 
 def bessel_j(nu: float, x: float) -> EvalResult:
     """J_nu(x) for nu >= -1/2, x >= 0."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel_j requires x >= 0, got {x!r}")
+    nu, x = check_args("bessel_j", nu, x, origin=True)
     if x == 0.0:
-        if nu == 0.0:
-            return EvalResult(1.0, _EPS)
-        if nu > 0.0:
-            return EvalResult(0.0, 0.0)
-        return overflow_result()
+        return origin_value(nu)
     if _series_region(nu, x):
         value, _, est = _j_series(nu, x)
         return EvalResult(value, est)
@@ -295,10 +278,7 @@ def bessel_j(nu: float, x: float) -> EvalResult:
 
 def bessel_y(nu: float, x: float) -> EvalResult:
     """Y_nu(x) for nu >= -1/2, x > 0."""
-    nu = check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"bessel_y requires x > 0, got {x!r}")
+    nu, x = check_args("bessel_y", nu, x, origin=False)
     _, _, y, _, _, est_y = _engine(nu, x)
     if not math.isfinite(y):
         return overflow_result(math.copysign(math.inf, y))

@@ -7,6 +7,7 @@ through the recurrence (0 < x < 0.5) or the reflection formula (x < 0).
 """
 from __future__ import annotations
 
+import functools
 import math
 
 from ..errors import PoleError
@@ -95,3 +96,20 @@ def gamma_fn(x: float) -> EvalResult:
     r = x - round(x)
     rel_total = rel + _KERNEL_RELERR + abs(math.pi * r) / max(abs(s), 1e-300) * 1e-16
     return EvalResult(value, abs(value) * rel_total)
+
+
+@functools.lru_cache(maxsize=64)
+def gamma_plus_one(nu: float) -> tuple[float, float]:
+    """(gamma_fn(nu + 1.0), its relative error as a value of Gamma(nu + 1)).
+
+    The sum nu + 1.0 rounds by up to half an ulp, which moves Gamma by
+    psi(nu + 1) times that shift, with |psi(t)| <= |log t| + 1/t for
+    t >= 1/2; gamma_fn adds its own estimate.  The value is inf past the
+    double range.  Memoized: the series kernels see few distinct orders.
+    """
+    top = nu + 1.0
+    g = gamma_fn(top)
+    if math.isinf(g.value):
+        return g.value, math.inf
+    shift = (abs(math.log(top)) + 1.0 / top) * 0.5 * math.ulp(top)
+    return g.value, shift + g.est_abs_error / g.value

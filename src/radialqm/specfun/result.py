@@ -14,13 +14,11 @@ class EvalResult:
     also non-finite.
     """
 
-    value: float | complex
+    value: float
     est_abs_error: float
 
     @property
     def is_finite(self) -> bool:
-        if isinstance(self.value, complex):
-            return math.isfinite(self.value.real) and math.isfinite(self.value.imag)
         return math.isfinite(self.value)
 
 

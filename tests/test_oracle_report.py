@@ -94,6 +94,16 @@ def test_discrepancy_ledger_is_present(report):
         assert any(isinstance(v, (int, float)) for v in d["evidence"].values())
 
 
+def test_sign_claim_cites_the_swept_rows(report):
+    rows = {row["id"]: row for row in report["rows"]}
+    entry = next(d for d in report["discrepancies"] if d["id"] == "well_barrier_sign_claim")
+    well = entry["evidence"]["attractive_oracle_interior_intensity"]
+    barrier = entry["evidence"]["barrier_oracle_interior_intensity"]
+    assert well == rows["delta_scattering_attractive_n1"]["oracle"]
+    assert barrier == rows["delta_scattering_barrier_n1"]["oracle"]
+    assert abs(well - barrier) > 1.0
+
+
 def test_report_module_guards_against_mutation(default_rows):
     with pytest.raises(dataclasses.FrozenInstanceError):
         default_rows[0].rel_diff = 0.0

@@ -85,7 +85,13 @@ def test_strided_shell_scan_matches_full_scan(n):
 
 def _transmission_cases():
     cases = [(DeltaShell(1.0, 1, 1.0), 1, 4.5, (0.5, 40.0)),
-             (FiniteWell(5.0, 1.0), 2, 4.0, (0.5, 30.0))]
+             (FiniteWell(5.0, 1.0), 2, 4.0, (0.5, 30.0)),
+             # the intensity dips past the target and back between two samples:
+             # crossings near 36.889 and 38.404, then near 12.10 and 12.98
+             (DeltaShell(3.22523, 1, 1.30131), 3, 1.46582,
+              (1.1053510517306897, 42.87612515621276)),
+             (DeltaShell(2.08173, -1, 1.44526), 2, 1.33312,
+              (0.41205893179605835, 13.061691255430535))]
     rng = random.Random(20121)
     for _ in range(12):
         R = rng.uniform(0.5, 1.5)
@@ -153,6 +159,19 @@ def test_strided_scan_keeps_exact_zero_semantics():
     assert scan_roots(lambda x: x, []) == []
     with pytest.raises(DomainError):
         scan_roots(lambda x: x, g, 0)
+
+
+def test_strided_scan_finds_crossing_pairs_between_samples():
+    g = [i / 1000.0 for i in range(1001)]
+    # a dip through zero narrower than one sampled interval, inside the
+    # grid and in its first and last intervals, from either side
+    for center in (0.4237, 0.006, 0.9951):
+        for side in (1.0, -1.0):
+            f = lambda x, c=center, s=side: s * ((x - c) ** 2 - 0.004**2)
+            want = _dense_scan(f, g)
+            assert len(want) == 2
+            for stride in (8, 64, 500):
+                assert scan_roots(f, g, stride) == want, (center, side, stride)
 
 
 def test_shell_level_costs_few_product_evaluations(monkeypatch, scales):

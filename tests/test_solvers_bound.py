@@ -23,7 +23,6 @@ def test_box_levels_are_squared_zeros(scales):
         nu = (n - 1) / 2.0
         for lv in infinite_well_spectrum(Dimension(n), 1.0, 4, scales):
             assert lv.eps == pytest.approx(bessel_j_zero(nu, lv.N) ** 2, rel=1e-14)
-            assert lv.sign == "bound"
 
 
 def test_box_in_three_dimensions_is_sine_series(scales):

@@ -7,7 +7,7 @@ import pytest
 
 from radialqm.errors import DomainError
 from radialqm.radial import Dimension
-from radialqm.solvers import closure_check, ClosureProbe
+from radialqm.solvers import closure_check
 
 
 def test_diagonal_recovers_unit_mass():
@@ -49,4 +49,4 @@ def test_probe_validation():
     with pytest.raises(DomainError):
         closure_check(Dimension(1), 1.0, 1.0, 100.0, 0.0)
     with pytest.raises(DomainError):
-        ClosureProbe(k=1.0, k_prime=1.0, r_max=math.inf, smear_width=0.05, value=1.0)
+        closure_check(Dimension(1), 1.0, 1.0, math.inf, 0.05)

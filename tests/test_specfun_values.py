@@ -1,8 +1,11 @@
 """Kernel evaluations against the frozen high-precision reference table."""
 from __future__ import annotations
 
+import math
 import os
+import random
 
+import mpmath
 import pytest
 
 from radialqm.specfun import bessel_i, bessel_j, bessel_k, bessel_y
@@ -48,3 +51,29 @@ def test_error_estimates_are_sane():
         got = KERNELS[row.function](row.nu, row.x)
         assert got.est_abs_error >= 0.0
         assert abs(got.value - row.value) <= max(got.est_abs_error, 1e-11 * abs(row.value))
+
+
+def test_series_error_estimates_cover_mpmath():
+    # the ascending series of J and I, where the seed (x/2)^nu / Gamma(nu + 1)
+    # carries the rounding of nu + 1 and the error of Gamma; subnormal
+    # values keep a nonzero estimate
+    rng = random.Random(20121)
+    draws = []
+    for _ in range(300):
+        nu = rng.choice((rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 170.0),
+                         0.5 * rng.randint(-1, 340)))
+        edge = max(2.0, 2.0 * math.sqrt(nu + 1.0))
+        x = rng.choice((rng.uniform(0.0, edge), edge * 10.0 ** rng.uniform(-6.0, 0.0))) or edge
+        draws.append((nu, x))
+    # both values subnormal
+    draws.append((153.3, 1.0))
+    assert 0.0 < bessel_j(153.3, 1.0).value < bessel_i(153.3, 1.0).value < 2.3e-308
+    misses = []
+    with mpmath.workdps(40):
+        for nu, x in draws:
+            for kernel, exact in ((bessel_j, mpmath.besselj), (bessel_i, mpmath.besseli)):
+                got = kernel(nu, x)
+                err = abs(mpmath.mpf(got.value) - exact(mpmath.mpf(nu), mpmath.mpf(x)))
+                if not err <= got.est_abs_error:
+                    misses.append((kernel.__name__, nu, x, float(err), got.est_abs_error))
+    assert not misses, misses[:5]

@@ -1,0 +1,129 @@
+"""Digest of the program's observable output, for byte-identity checks.
+
+    python3 tools/output_digest.py --rounds 16 --seeds 1 2 --out digest.jsonl
+
+Runs, in this interpreter, against ``src/`` of one checkout (by default
+the one holding this file, or ``--root``):
+
+* every CLI example in README.md except ``validate``, once with
+  ``--format csv`` and once with ``--format json``;
+* ``validate`` at the default scales and at ``--mass 1.25``;
+* ``--rounds`` rounds of the ``scan`` and ``solve`` generators of
+  ``bench/workloads.py`` at each seed of ``--seeds``; the transmission
+  operations are library calls, recorded as the ``repr`` of the result.
+
+Each operation writes one JSON line: argv (or the transmission
+parameters), exit code, stdout and stderr.  An exception that escapes the
+CLI is recorded by type and message, without a traceback, so that records
+from two checkouts compare byte for byte.  The last stdout line is the
+sha256 of the record file.  Run it at two commits and ``cmp`` the record
+files: a refactor that claims unchanged behaviour leaves them identical.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import re
+import shlex
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def readme_examples(readme: Path) -> list:
+    """argv lists of the `radialqm ...` lines in the README's sh blocks, minus --format."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme.read_text(), flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            if not words or words[0] != "radialqm":
+                continue
+            argv = words[1:]
+            if "--format" in argv:
+                at = argv.index("--format")
+                del argv[at:at + 2]
+            examples.append(argv)
+    return examples
+
+
+def run_cli(cli, argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # the console script would exit 1 here
+            rc = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
+    return {"argv": argv, "rc": rc, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def run_transmission(p: dict) -> dict:
+    from radialqm.radial.model import DeltaShell, Dimension, FiniteWell, PhysicalScales
+    from radialqm.solvers import quantized_transmission_energies
+
+    if p["problem"] == "delta":
+        problem = DeltaShell(g=p["g"], sign=p["sign"], R=p["R"])
+    else:
+        problem = FiniteWell(V0=p["V0"], R=p["R"])
+    try:
+        result = quantized_transmission_energies(
+            problem, Dimension(p["n"]), p["target"], tuple(p["eps_range"]), PhysicalScales())
+        rc, out, err = 0, repr(result), ""
+    except Exception as exc:
+        rc, out, err = 1, "", f"{type(exc).__name__}: {exc}"
+    return {"transmission": p, "rc": rc, "out": out, "err": err}
+
+
+def records(root: Path, rounds: int, seeds: list):
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root / "bench"))
+    import radialqm.cli as cli
+    import workloads
+
+    if not Path(cli.__file__).resolve().is_relative_to(root / "src"):
+        raise RuntimeError(f"radialqm imported from {cli.__file__}, not from {root / 'src'}")
+    for argv in readme_examples(root / "README.md"):
+        if argv[0] == "validate":
+            continue
+        for fmt in ("csv", "json"):
+            yield run_cli(cli, argv + ["--format", fmt])
+    yield run_cli(cli, ["validate"])
+    yield run_cli(cli, ["validate", "--mass", "1.25"])
+    for seed in seeds:
+        for workload in ("scan", "solve"):
+            stream = workloads.rounds(workload, seed)
+            for _ in range(rounds):
+                for op in next(stream):
+                    if op["kind"] == "cli":
+                        yield run_cli(cli, op["argv"])
+                    else:
+                        yield run_transmission(op["p"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", type=Path, default=HERE, help="checkout to run (default: this one)")
+    parser.add_argument("--rounds", type=int, default=4, help="generator rounds per workload and seed")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--out", type=Path, default=Path("output_digest.jsonl"), help="record file")
+    args = parser.parse_args(argv)
+
+    digest = hashlib.sha256()
+    count = 0
+    with open(args.out, "w") as sink:
+        for record in records(args.root.resolve(), args.rounds, args.seeds):
+            line = json.dumps(record, sort_keys=True) + "\n"
+            sink.write(line)
+            digest.update(line.encode())
+            count += 1
+    print(f"{count} records in {args.out}")
+    print(f"sha256 {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
