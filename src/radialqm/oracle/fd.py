@@ -19,8 +19,10 @@ equivalent half-line form in Psi itself (nu^2 - 1/4 vanishes there).
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -253,32 +255,133 @@ def _rk4_sweep(
     Each segment carries its own potential callable so a step ending on
     a material boundary never samples the far side; mid- and endpoint
     stage evaluations of classical Runge-Kutta otherwise leak across
-    discontinuities.
+    discontinuities.  The stages are written out for u' = p,
+    p' = -p/r + c(r) u: each u-slope is the stage's p, and stages 2 and
+    3 share the midpoint coefficient.
     """
     u, p = y0
     nu2 = nu * nu
     for a, b, target, v_of_r in segments:
         if b <= a:
             continue
-
-        def rhs(r: float, u: float, p: float) -> tuple[float, float]:
-            return p, -p / r + (nu2 / (r * r) + v_of_r(r) - eps) * u
-
         m = max(4, int(math.ceil((b - a) / target)))
         h = (b - a) / m
+        hh = 0.5 * h
         for i in range(m):
             r = a + i * h
-            k1u, k1p = rhs(r, u, p)
-            k2u, k2p = rhs(r + 0.5 * h, u + 0.5 * h * k1u, p + 0.5 * h * k1p)
-            k3u, k3p = rhs(r + 0.5 * h, u + 0.5 * h * k2u, p + 0.5 * h * k2p)
-            k4u, k4p = rhs(r + h, u + h * k3u, p + h * k3p)
-            u += h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+            rm = r + hh
+            re = r + h
+            c_mid = nu2 / (rm * rm) + v_of_r(rm) - eps
+            k1p = -p / r + (nu2 / (r * r) + v_of_r(r) - eps) * u
+            p2 = p + hh * k1p
+            k2p = -p2 / rm + c_mid * (u + hh * p)
+            p3 = p + hh * k2p
+            k3p = -p3 / rm + c_mid * (u + hh * p2)
+            p4 = p + h * k3p
+            k4p = -p4 / re + (nu2 / (re * re) + v_of_r(re) - eps) * (u + h * p3)
+            u += h * (p + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
             p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
     return u, p
 
 
+def _rk4_lanes(
+    lanes: list[tuple[list[tuple[float, float, float, object]], tuple[float, float]]],
+    nu: float,
+    eps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_rk4_sweep`` for many independent (segments, y0) lanes at once.
+
+    Lane j integrates at energy ``eps[j]``.  Each lane does the scalar
+    sweep's float64 operations in the same order, so every lane ends on
+    the same bits as ``_rk4_sweep``, provided each potential accepts
+    arrays and rounds on them exactly as on floats.
+    Lanes run longest first, so the lanes still stepping at any row are
+    a prefix of the table columns.
+    """
+    nu2 = nu * nu
+    live = [[seg for seg in segments if seg[1] > seg[0]] for segments, _ in lanes]
+    counts = [[max(4, int(math.ceil((b - a) / target))) for a, b, target, _ in segs] for segs in live]
+    steps = np.array([sum(m) for m in counts], dtype=int)
+    order = np.argsort(-steps, kind="stable")
+    rows = int(steps.max(initial=0))
+    # per step: start radius, step size and the coefficient c(r) at the
+    # start, midpoint and end; filled one column at a time, cells past a
+    # lane's last step stay zero and are never read
+    r_tab, h_tab, c0_tab, cm_tab, ce_tab = (np.zeros((rows, len(lanes))) for _ in range(5))
+    for col, j in enumerate(order):
+        segs, m, n = live[j], counts[j], steps[j]
+        h = np.repeat([(b - a) / k for (a, b, _, _), k in zip(segs, m)], m)
+        i = np.arange(n) - np.repeat(np.cumsum(m) - m, m)
+        r = np.repeat([a for a, _, _, _ in segs], m) + i * h
+        r_tab[:n, col] = r
+        h_tab[:n, col] = h
+        runs = []                         # [first row, end row, potential]
+        row = 0
+        for (_, _, _, v_of_r), k in zip(segs, m):
+            if runs and runs[-1][2] is v_of_r:
+                runs[-1][1] += k
+            else:
+                runs.append([row, row + k, v_of_r])
+            row += k
+        for tab, x in ((c0_tab, r), (cm_tab, r + 0.5 * h), (ce_tab, r + h)):
+            c = nu2 / (x * x)
+            for lo, hi, v_of_r in runs:
+                c[lo:hi] += v_of_r(x[lo:hi])
+            tab[:n, col] = c - eps[j]
+
+    u = np.array([lanes[j][1][0] for j in order], dtype=float)
+    p = np.array([lanes[j][1][1] for j in order], dtype=float)
+    active = np.searchsorted(-steps[order], -np.arange(rows), side="left").tolist()
+    for t in range(rows):
+        k = active[t]
+        uk, pk = u[:k], p[:k]
+        r, h = r_tab[t, :k], h_tab[t, :k]
+        hh = 0.5 * h
+        rm = r + hh
+        c_mid = cm_tab[t, :k]
+        k1p = -pk / r + c0_tab[t, :k] * uk
+        p2 = pk + hh * k1p
+        k2p = -p2 / rm + c_mid * (uk + hh * pk)
+        p3 = pk + hh * k2p
+        k3p = -p3 / rm + c_mid * (uk + hh * p2)
+        p4 = pk + h * k3p
+        k4p = -p4 / (r + h) + ce_tab[t, :k] * (uk + h * p3)
+        u[:k] = uk + h * (pk + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
+        p[:k] = pk + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
+
+    u_out = np.empty_like(u)
+    p_out = np.empty_like(p)
+    u_out[order] = u
+    p_out[order] = p
+    return u_out, p_out
+
+
+# (function, nu, x) -> value while a series_memo() block is open, else None
+_cyl_memo: dict[tuple[str, float, float], float] | None = None
+
+
+@contextlib.contextmanager
+def series_memo() -> Iterator[None]:
+    """Evaluate each cylinder reference once inside the block.
+
+    The matching and printed-rate code ask for the same (function, nu, x)
+    more than once within one report; the memo lives only as long as the
+    block, so separate reports never share values.
+    """
+    global _cyl_memo
+    _cyl_memo = {}
+    try:
+        yield
+    finally:
+        _cyl_memo = None
+
+
 def _cyl(function: str, nu: float, x: float) -> float:
-    return float(series_reference(function, nu, x, digits=30))
+    memo = _cyl_memo if _cyl_memo is not None else {}
+    key = (function, nu, x)
+    if key not in memo:
+        memo[key] = float(series_reference(function, nu, x, digits=30))
+    return memo[key]
 
 
 def _match_exterior(nu: float, eps: float, r_max: float, u: float, p: float) -> tuple[complex, complex]:
@@ -426,7 +529,10 @@ def fd_scattering(
 # shooting, kept as an independent check on the matrix spectra
 
 
-def _shoot_residual(dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales) -> float:
+def _shoot_setup(
+    dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales
+) -> tuple[list[tuple[float, float, float, object]], tuple[float, float]]:
+    """Segments and series start of one outward shot to the wall at r_max."""
     nu = dim.nu
 
     def v_zero(r: float) -> float:
@@ -436,7 +542,11 @@ def _shoot_residual(dim: Dimension, pot: Potential, eps: float, r_max: float, sc
         mu = scales.oscillator_scale(pot.omega)
 
         def v_body(r: float) -> float:
-            return (mu * r) ** 2
+            # a product, not ** 2: float ** 2 goes through libm pow, which
+            # is not always correctly rounded and so can differ from the
+            # squaring that numpy arrays (the scan lanes) use
+            mr = mu * r
+            return mr * mr
 
         local_v = 0.0
         feature = r_max / 2.0
@@ -471,7 +581,12 @@ def _shoot_residual(dim: Dimension, pot: Potential, eps: float, r_max: float, sc
         segments.append((pot.R, r_max, body_h, v_zero))
     else:
         segments.append((knee, r_max, body_h, v_body))
-    u_end, _ = _rk4_sweep(segments, nu, eps, (u, p))
+    return segments, (u, p)
+
+
+def _shoot_residual(dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales) -> float:
+    segments, y0 = _shoot_setup(dim, pot, eps, r_max, scales)
+    u_end, _ = _rk4_sweep(segments, dim.nu, eps, y0)
     return u_end
 
 
@@ -500,7 +615,10 @@ def shooting_bound_levels(
         raise DomainError(f"shooting wall must be positive and finite, got {r_max!r}")
 
     grid_eps = np.linspace(eps_lo, eps_hi, scan_points)
-    values = [_shoot_residual(dim, pot, float(e), r_max, scales) for e in grid_eps]
+    # the scan's shots are independent, so they run as lanes; the
+    # bisection below is sequential and keeps the scalar sweep
+    shots = [_shoot_setup(dim, pot, float(e), r_max, scales) for e in grid_eps]
+    values = _rk4_lanes(shots, dim.nu, grid_eps)[0].tolist()
     roots: list[float] = []
     for i in range(len(grid_eps) - 1):
         f_lo, f_hi = values[i], values[i + 1]

@@ -52,7 +52,7 @@ from ..specfun import (
     kummer_u,
     laguerre,
 )
-from .fd import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
+from .fd import Grid, fd_bound_spectrum, fd_scattering, series_memo, shooting_bound_levels
 from .series import series_reference
 
 _REL_FLOOR = 1e-12
@@ -569,7 +569,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
             "indistinguishable, all rates depending on the squared coupling",
             "implemented": "signed coupling kept throughout the matching system",
             "evidence": {
-                "reduced_coupling_magnitude": 3.0,
+                "reduced_coupling_magnitude": sc.reduced_coupling(1.5),
                 "eps": 5.0,
                 "attractive_interior_intensity": sa.interior_intensity,
                 "barrier_interior_intensity": sb.interior_intensity,
@@ -599,7 +599,8 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
     there as a failure.
     """
     sc = PhysicalScales() if sc is None else sc
-    pairs = _default_pairs(sc) + _shell_bound_rows(1.0, sc)
+    with series_memo():
+        pairs = _default_pairs(sc) + _shell_bound_rows(1.0, sc)
     within = all(row.rel_diff <= tol for row, tol in pairs)
     converged = all(row.converged for row, _ in pairs)
     return {

@@ -39,13 +39,15 @@ def _first_kind_series(nu, x, alternating):
     term = (x / 2) ** nu / mp.gamma(nu + 1)
     total = term
     tol = mp.mpf(10) ** (-(mp.dps - 6))
+    half = mp.mpf("0.5")
+    scale = mp.mpf(10) ** (-2 * mp.dps)
     for k in range(_MAX_TERMS):
         term = sign * term * z / ((k + 1) * (nu + k + 1))
         total += term
         ratio = z / ((k + 2) * abs(nu + k + 2))
-        if k + 2 > abs(nu) and ratio < mp.mpf("0.5"):
+        if k + 2 > abs(nu) and ratio < half:
             tail_bound = 2 * abs(term) * ratio
-            if tail_bound <= tol * max(abs(total), mp.mpf(10) ** (-2 * mp.dps)):
+            if tail_bound <= tol * max(abs(total), scale):
                 return total
     raise ArithmeticError("series truncation bound not reached")
 
@@ -60,6 +62,7 @@ def _harmonic_series_part(m, x, alternating):
     total = (h_k + h_mk) * coeff
     tol = mp.mpf(10) ** (-(mp.dps - 6))
     scale = mp.mpf(10) ** (-2 * mp.dps)
+    eighth = mp.mpf("0.125")
     for k in range(1, _MAX_TERMS):
         coeff = sign * coeff * z / (k * (m + k))
         h_k += mp.mpf(1) / k
@@ -67,7 +70,7 @@ def _harmonic_series_part(m, x, alternating):
         term = (h_k + h_mk) * coeff
         total += term
         ratio = z / ((k + 1) * (m + k + 1))
-        if ratio < mp.mpf("0.125"):
+        if ratio < eighth:
             tail_bound = 4 * abs(term) * ratio
             if tail_bound <= tol * max(abs(total), scale):
                 return total

@@ -129,7 +129,10 @@ def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float,
     density does the same with order nu+1 and a kappa^2 factor.
     """
     kappa = piece.scale
-    front = (norm_constant * abs(piece.coeff)) ** 2
+    try:
+        front = (norm_constant * abs(piece.coeff)) ** 2
+    except OverflowError:
+        raise ComputationError("tail bound of a decaying piece exceeds the double range") from None
     if kin_scale is not None:
         front *= kin_scale * kappa * kappa
         order = nu + 1.0

@@ -167,6 +167,14 @@ def test_shell_level_below_the_double_range_exits_3():
     assert "double range" in json.loads(err)["error"]["message"]
 
 
+def test_strongly_bound_shell_mode_exits_3():
+    # the squared front factor of the K-tail bound overflows here
+    code, out, err = run_cli(["wavefunction", "--problem", "delta-shell", "--n", "25",
+                              "--radius", "0.900246", "--gamma", "928.375"])
+    assert code == 3 and out == ""
+    assert "double range" in json.loads(err)["error"]["message"]
+
+
 def test_import_leaves_the_oracle_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, radialqm.cli; "
@@ -184,6 +192,7 @@ def test_validate_at_other_masses():
         assert doc["all_converged"] is True
         ledger = {entry["id"]: entry for entry in doc["discrepancies"]}
         assert ledger["finite_well_printed_arguments"]["evidence"]["v0"] == 36.0 * mass
+        assert ledger["well_barrier_sign_claim"]["evidence"]["reduced_coupling_magnitude"] == 3.0 * mass
 
 
 def test_console_script_smoke():

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from radialqm.errors import DomainError, MatchingError
 from radialqm.oracle import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
-from radialqm.oracle.fd import _delta_width_energies
+from radialqm.oracle.fd import _delta_width_energies, _rk4_lanes, _rk4_sweep, _shoot_setup
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import DeltaShell, FiniteWell, Free, Harmonic, InfiniteWell
 from radialqm.solvers import delta_scattering, finite_well_scattering
@@ -121,3 +123,50 @@ def test_shooting_validation(scales):
         shooting_bound_levels(Dimension(1), Harmonic(1.0), -1.0, 0.5, 7.5, scales)
     with pytest.raises(DomainError):
         shooting_bound_levels(Dimension(1), Harmonic(1.0), 7.0, 7.5, 0.5, scales)
+
+
+def _lane_steps(segments):
+    return sum(max(4, math.ceil((b - a) / t)) for a, b, t, _ in segments if b > a)
+
+
+def _assert_lanes_match_sweeps(shots, nu, eps):
+    # the lanes call each potential on arrays, the sweep on floats: both
+    # must round alike, or a lane drifts from its sweep by an ulp
+    for segments, _ in shots:
+        for a, b, _, v_of_r in segments:
+            r = np.linspace(a, b, 257)
+            assert (np.zeros_like(r) + v_of_r(r)).tolist() == [v_of_r(x) for x in r.tolist()]
+    u, p = _rk4_lanes(shots, nu, np.array(eps))
+    assert len({_lane_steps(seg) for seg, _ in shots}) > 1
+    for j, (segments, y0) in enumerate(shots):
+        assert (u[j], p[j]) == _rk4_sweep(segments, nu, eps[j], y0)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 5))
+def test_lane_sweeps_equal_scalar_sweeps_harmonic(n, scales):
+    rng = random.Random(1000 + n)
+    dim = Dimension(n)
+    shots, eps = [], []
+    for _ in range(12):
+        omega = rng.uniform(0.5, 3.0)
+        wall = rng.uniform(5.0, 9.0)
+        e = rng.uniform(0.5, 4.0 * omega * (n + 3))
+        shots.append(_shoot_setup(dim, Harmonic(omega), e, wall, scales))
+        eps.append(e)
+    _assert_lanes_match_sweeps(shots, dim.nu, eps)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 5))
+def test_lane_sweeps_equal_scalar_sweeps_finite_well(n, scales):
+    rng = random.Random(2000 + n)
+    dim = Dimension(n)
+    shots, eps = [], []
+    for _ in range(12):
+        V0 = rng.uniform(2.0, 40.0)
+        R = rng.uniform(0.5, 2.0)
+        v0 = scales.reduced_potential(V0)
+        # energies inside the well (-v0 < eps < 0) and above it
+        e = rng.uniform(-v0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, v0)
+        shots.append(_shoot_setup(dim, FiniteWell(V0, R), e, rng.uniform(2.0, 4.0) * R, scales))
+        eps.append(e)
+    _assert_lanes_match_sweeps(shots, dim.nu, eps)

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from radialqm.errors import DomainError
-from radialqm.oracle import OracleReport, cross_validate, validation_report
+from radialqm.oracle import OracleReport, cross_validate, fd, validation_report
+from radialqm.oracle import report as report_module
+from radialqm.oracle.series import series_reference
 
 REQUIRED_DISCREPANCIES = {
     "printed_infinite_well_norm_constant",
@@ -107,3 +109,18 @@ def test_sign_claim_cites_the_swept_rows(report):
 def test_report_module_guards_against_mutation(default_rows):
     with pytest.raises(dataclasses.FrozenInstanceError):
         default_rows[0].rel_diff = 0.0
+
+
+def test_a_second_report_repeats_the_bytes_and_the_series_work(report, monkeypatch):
+    # each distinct series reference is evaluated once per report, and no
+    # value carries over from the report before
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return series_reference(*args, **kwargs)
+
+    monkeypatch.setattr(fd, "series_reference", counted)
+    monkeypatch.setattr(report_module, "series_reference", counted)
+    assert json.dumps(validation_report()) == json.dumps(report)
+    assert len(calls) == len(set(calls)) == 46
