@@ -8,7 +8,7 @@ carry no arithmetic.
 
 from .fd import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
 from .fixtures import ReferenceRow, load_reference_table, write_reference_table
-from .report import OracleReport, cross_validate, validation_report
+from .report import OracleReport, validation_report
 from .series import SeriesDomainError, series_reference
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "fd_scattering",
     "shooting_bound_levels",
     "OracleReport",
-    "cross_validate",
     "validation_report",
 ]

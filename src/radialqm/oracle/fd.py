@@ -50,32 +50,28 @@ _SERIES_CAP = 30.0
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform radial mesh for the finite-difference routines.
+    """Uniform radial mesh of ``points`` cells on [0, r_max].
 
-    ``r_min`` is the lower edge of the first cell (0 is allowed and is
-    the usual choice; cell centers sit half a spacing inside).  Spectrum
-    assembly places a Dirichlet wall at ``r_max``.
+    Cell centers sit half a spacing inside each cell.  Spectrum assembly
+    places a Dirichlet wall at ``r_max``.
     """
 
-    r_min: float
     r_max: float
     points: int
 
     def __post_init__(self) -> None:
-        if not (self.r_min >= 0.0 and math.isfinite(self.r_min)):
-            raise DomainError(f"grid r_min must be >= 0 and finite, got {self.r_min!r}")
-        if not (self.r_max > self.r_min and math.isfinite(self.r_max)):
-            raise DomainError(f"grid r_max must exceed r_min, got {self.r_max!r}")
+        if not (self.r_max > 0.0 and math.isfinite(self.r_max)):
+            raise DomainError(f"grid r_max must be positive and finite, got {self.r_max!r}")
         if int(self.points) != self.points or self.points < 100:
             raise DomainError(f"grid needs at least 100 points, got {self.points!r}")
 
     @property
     def spacing(self) -> float:
-        return (self.r_max - self.r_min) / self.points
+        return self.r_max / self.points
 
     def centers(self) -> np.ndarray:
         h = self.spacing
-        return self.r_min + (np.arange(self.points) + 0.5) * h
+        return (np.arange(self.points) + 0.5) * h
 
 
 def _smooth_profile(pot: Potential, scales: PhysicalScales, r: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -117,27 +113,28 @@ def _shell_samples(
 def _assemble(
     dim: Dimension, pot: Potential, grid: Grid, scales: PhysicalScales, shell_width: float | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diagonal, off-diagonal) for the chosen grid."""
+    """Symmetric tridiagonal (diagonal, off-diagonal) for the chosen grid.
+
+    ``shell_width`` is the Gaussian width that replaces a delta shell,
+    and None for every other potential.
+    """
     h = grid.spacing
     r = grid.centers()
-    edges = grid.r_min + np.arange(grid.points + 1) * h
+    edges = np.arange(grid.points + 1) * h
     v = _smooth_profile(pot, scales, r, edges)
 
     if isinstance(pot, DeltaShell):
-        if not grid.r_min < pot.R < grid.r_max:
+        if not pot.R < grid.r_max:
             raise DomainError("shell radius must lie inside the grid")
         gamma_signed = pot.sign * scales.reduced_coupling(pot.g)
-        width = 3.0 * h if shell_width is None else shell_width
         if dim.n == 0:
             weights = np.full_like(r, h)
         else:
             weights = r * h / pot.R
-        v = v + _shell_samples(gamma_signed, pot.R, width, r, h, weights)
+        v = v + _shell_samples(gamma_signed, pot.R, shell_width, r, h, weights)
 
     if dim.n == 0:
         # half-line form in Psi: -Psi'' + v Psi = eps Psi, even at the origin
-        if grid.r_min != 0.0:
-            raise DomainError("half-line assembly needs r_min = 0")
         diag = np.full(grid.points, 2.0 / h**2) + v
         diag[0] = 1.0 / h**2 + v[0]          # Neumann ghost: Psi(-r) = Psi(r)
         diag[-1] = 3.0 / h**2 + v[-1]        # Dirichlet ghost: zero at the wall edge
@@ -148,15 +145,11 @@ def _assemble(
     left = edges[:-1]
     right = edges[1:]
     diag = (left + right) / (h * h * r) + (nu * nu) / (r * r) + v
-    if grid.r_min == 0.0:
-        # centrifugal weight on the first cell chosen so the row kills the
-        # regular power r^nu exactly; midpoint sampling is only first order
-        # against the kink of half-integer orders
-        diag[0] = right[0] / (h * h * r[0]) + v[0]
-        diag[0] += right[0] * ((r[1] / r[0]) ** nu - 1.0) / (h * h * r[0])
-    elif nu != 0.0:
-        # flux of the regular power through the inner edge, Robin style
-        diag[0] += nu * (grid.r_min / r[0]) ** nu / (h * r[0])
+    # centrifugal weight on the first cell chosen so the row kills the
+    # regular power r^nu exactly; midpoint sampling is only first order
+    # against the kink of half-integer orders
+    diag[0] = right[0] / (h * h * r[0]) + v[0]
+    diag[0] += right[0] * ((r[1] / r[0]) ** nu - 1.0) / (h * h * r[0])
     diag[-1] += right[-1] / (h * h * r[-1])  # reflects the wall zero through the edge
     off = -right[:-1] / (h * h * np.sqrt(r[:-1] * r[1:]))
     return diag, off
@@ -406,7 +399,7 @@ def _sweep_once(
     dim: Dimension,
     pot: Potential,
     eps: float,
-    grid: Grid,
+    r_max: float,
     scales: PhysicalScales,
 ) -> tuple[complex, complex]:
     """One outward integration; returns (interior, outgoing) over unit incoming.
@@ -421,7 +414,7 @@ def _sweep_once(
         return 0.0
 
     if isinstance(pot, Free):
-        R = 0.5 * grid.r_max
+        R = 0.5 * r_max
         local_v = 0.0
         v_inside = v_zero
     elif isinstance(pot, DeltaShell):
@@ -436,18 +429,16 @@ def _sweep_once(
         def v_inside(r: float) -> float:
             return -v0
 
-    if grid.r_max <= R:
+    if r_max <= R:
         raise MatchingError("matching radius sits inside the potential support")
 
     kt = math.sqrt(eps - local_v)
     r_start = min(R / 4.0, math.sqrt(8e-3 * (nu + 1.0) / max(eps - local_v, 1e-30)))
     r_start = max(r_start, 1e-6 * R)
-    if grid.r_min > 0.0:
-        r_start = min(r_start, grid.r_min)
     u0, p0 = _series_start(nu, local_v, eps, r_start)
 
     segments = []
-    knee = min(R / 2.0, grid.r_max / 2.0)
+    knee = min(R / 2.0, r_max / 2.0)
     rr = r_start
     while rr < knee:                          # geometric head resolves nu^2/r^2
         nxt = min(2.0 * rr, knee)
@@ -461,8 +452,8 @@ def _sweep_once(
     if isinstance(pot, DeltaShell):
         p += pot.sign * scales.reduced_coupling(pot.g) * u
 
-    u, p = _rk4_sweep([(R, grid.r_max, exterior_h, v_zero)], nu, eps, (u, p))
-    c_out, c_in = _match_exterior(nu, eps, grid.r_max, u, p)
+    u, p = _rk4_sweep([(R, r_max, exterior_h, v_zero)], nu, eps, (u, p))
+    c_out, c_in = _match_exterior(nu, eps, r_max, u, p)
     interior_norm = math.gamma(nu + 1.0) * (2.0 / kt) ** nu
     return interior_norm / c_in, c_out / c_in
 
@@ -496,24 +487,26 @@ def _printed_rate(dim: Dimension, pot: Potential, eps: float, scales: PhysicalSc
 
 
 def fd_scattering(
-    dim: Dimension, pot: Potential, eps: float, grid: Grid, scales: PhysicalScales
+    dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales
 ) -> ScatteringResult:
     """Scattering coefficients by outward integration and Hankel matching.
 
     The regular solution starts from its small-r series, is swept
     outward with classical Runge-Kutta, and is decomposed at
-    ``grid.r_max`` into in- and outgoing cylinder waves using values and
+    ``r_max`` into in- and outgoing cylinder waves using values and
     derivatives.  Requires sqrt(eps) * r_max within the series
     reference domain.
     """
     if not (eps > 0.0 and math.isfinite(eps)):
         raise DomainError(f"scattering energy must be positive and finite, got {eps!r}")
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise DomainError(f"matching radius must be positive and finite, got {r_max!r}")
     if not isinstance(pot, (Free, DeltaShell, FiniteWell)):
         raise DomainError(f"no scattering setup for potential {pot!r}")
-    if math.sqrt(eps) * grid.r_max > _SERIES_CAP:
+    if math.sqrt(eps) * r_max > _SERIES_CAP:
         raise DomainError("matching argument exceeds the series reference domain")
 
-    interior, outgoing = _sweep_once(dim, pot, eps, grid, scales)
+    interior, outgoing = _sweep_once(dim, pot, eps, r_max, scales)
 
     return ScatteringResult(
         eps=float(eps),
@@ -598,23 +591,23 @@ def shooting_bound_levels(
     eps_hi: float,
     scales: PhysicalScales,
     count: int = 2,
-    scan_points: int = 96,
 ) -> list[float]:
     """Reduced eigenvalues located by outward shooting to a Dirichlet wall.
 
-    Scans [eps_lo, eps_hi] for sign changes of the end value and bisects
-    each bracket.  Meant for the lowest couple of states, as a check on
-    the matrix route with different discretization error.  For levels
-    that decay outside a well, place the wall a few decay lengths past
-    the edge: every integration error rides the growing branch, so a far
-    wall amplifies it exponentially while buying almost nothing.
+    Scans 96 energies across [eps_lo, eps_hi] for sign changes of the
+    end value and bisects each bracket.  Meant for the lowest couple of
+    states, as a check on the matrix route with different discretization
+    error.  For levels that decay outside a well, place the wall a few
+    decay lengths past the edge: every integration error rides the
+    growing branch, so a far wall amplifies it exponentially while buying
+    almost nothing.
     """
     if not (eps_hi > eps_lo and math.isfinite(eps_lo) and math.isfinite(eps_hi)):
         raise DomainError("shooting scan needs a finite ordered energy window")
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError(f"shooting wall must be positive and finite, got {r_max!r}")
 
-    grid_eps = np.linspace(eps_lo, eps_hi, scan_points)
+    grid_eps = np.linspace(eps_lo, eps_hi, 96)
     # the scan's shots are independent, so they run as lanes; the
     # bisection below is sequential and keeps the scalar sweep
     shots = [_shoot_setup(dim, pot, float(e), r_max, scales) for e in grid_eps]

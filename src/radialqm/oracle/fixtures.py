@@ -27,11 +27,12 @@ _WIDE_X = ("20.0", "30.0")
 _CORE_NU = ("-0.5", "0.0", "0.5", "1.0", "1.5", "2.5", "7.0", "50.0")
 _WIDE_NU = ("0.0", "0.5", "2.5", "7.0")
 _FUNCTIONS = ("bessel_j", "bessel_y", "bessel_i", "bessel_k")
+_DIGITS = 33
 
-_HEADER = """\
+_HEADER = f"""\
 # Cylinder-function reference values, written by
 # radialqm.oracle.fixtures.write_reference_table from the ascending-series
-# engine (radialqm.oracle.series) at 33 significant digits.
+# engine (radialqm.oracle.series) at {_DIGITS} significant digits.
 # Columns: function  nu  x  value
 """
 
@@ -54,14 +55,14 @@ def _grid():
             yield nu, x
 
 
-def write_reference_table(path, digits=33):
+def write_reference_table(path):
     """Generate the frozen table at `path`. Returns the number of rows."""
     lines = [_HEADER]
     count = 0
     for nu_s, x_s in _grid():
         for function in _FUNCTIONS:
-            value = series_reference(function, mp.mpf(nu_s), mp.mpf(x_s), digits)
-            value_s = mp.nstr(value, digits, strip_zeros=False)
+            value = series_reference(function, mp.mpf(nu_s), mp.mpf(x_s), _DIGITS)
+            value_s = mp.nstr(value, _DIGITS, strip_zeros=False)
             lines.append(f"{function} {nu_s} {x_s} {value_s}\n")
             count += 1
     Path(path).write_text("".join(lines))

@@ -21,7 +21,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .. import __version__
-from ..errors import ComputationError, DomainError
 from ..radial.model import (
     DeltaShell,
     Dimension,
@@ -50,13 +49,11 @@ from ..specfun import (
     bessel_y,
     hermite,
     kummer_u,
-    laguerre,
 )
 from .fd import Grid, fd_bound_spectrum, fd_scattering, series_memo, shooting_bound_levels
 from .series import series_reference
 
 _REL_FLOOR = 1e-12
-_COARSE_SCALE = 0.04
 _SPECTRUM_TOL = 1e-4
 _SCATTERING_TOL = 1e-6
 _SHELL_BOUND_TOL = 2e-3
@@ -77,6 +74,10 @@ def _rel(closed: float, oracle: float) -> float:
     return abs(closed - oracle) / max(abs(closed), _REL_FLOOR)
 
 
+# a row and its registered tolerance
+_Pair = Tuple[OracleReport, float]
+
+
 def _row(
     rid: str,
     closed: float,
@@ -84,45 +85,38 @@ def _row(
     check: float,
     budget: float,
     reduce: float = 3.0,
-) -> OracleReport:
+) -> _Pair:
     gap = abs(check - fine) / (reduce * max(abs(fine), _REL_FLOOR))
-    return OracleReport(
+    row = OracleReport(
         id=rid,
         closed_form=float(closed),
         oracle=float(fine),
         rel_diff=_rel(float(closed), float(fine)),
         converged=gap <= budget,
     )
+    return row, budget
 
 
-_Pair = Tuple[OracleReport, float]
-
-
-def _pts(base: int, scale: float) -> int:
-    return max(100, int(base * scale))
-
-
-def _well_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
+def _well_rows(sc: PhysicalScales) -> List[_Pair]:
     out: List[_Pair] = []
     for n in (0, 1, 2, 4):
         dim = Dimension(n)
         closed = infinite_well_spectrum(dim, 1.0, 2, sc)
         pot = InfiniteWell(R=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(0.0, 1.0, _pts(3000, scale)), 2, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(0.0, 1.0, _pts(1500, scale)), 2, sc)
+        fine = fd_bound_spectrum(dim, pot, Grid(1.0, 3000), 2, sc)
+        half = fd_bound_spectrum(dim, pot, Grid(1.0, 1500), 2, sc)
         for i, N in enumerate((1, 2)):
-            row = _row(
+            out.append(_row(
                 f"infinite_well_n{n}_N{N}",
                 closed[i].eps,
                 fine[i].eps,
                 half[i].eps,
                 _SPECTRUM_TOL,
-            )
-            out.append((row, _SPECTRUM_TOL))
+            ))
     return out
 
 
-def _oscillator_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
+def _oscillator_rows(sc: PhysicalScales) -> List[_Pair]:
     # the half-line oracle sees only the even ladder when n = 0, hence
     # the index map k -> 2k on the closed-form side
     out: List[_Pair] = []
@@ -130,55 +124,41 @@ def _oscillator_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
         dim = Dimension(n)
         closed = oscillator_spectrum(dim, 1.0, 5, sc)
         pot = Harmonic(omega=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(0.0, 9.0, _pts(4000, scale)), 2, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(0.0, 9.0, _pts(2000, scale)), 2, sc)
+        fine = fd_bound_spectrum(dim, pot, Grid(9.0, 4000), 2, sc)
+        half = fd_bound_spectrum(dim, pot, Grid(9.0, 2000), 2, sc)
         for k in (0, 1):
             idx = 2 * k if n == 0 else k
-            row = _row(
+            out.append(_row(
                 f"oscillator_n{n}_N{idx}",
                 closed[idx].eps,
                 fine[k].eps,
                 half[k].eps,
                 _SPECTRUM_TOL,
-            )
-            out.append((row, _SPECTRUM_TOL))
+            ))
     return out
 
 
-def _finite_well_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
+def _finite_well_rows(sc: PhysicalScales) -> List[_Pair]:
     dim = Dimension(2)
     closed = finite_well_bound_spectrum(dim, 18.0, 1.0, sc)
     pot = FiniteWell(V0=18.0, R=1.0)
-    fine = fd_bound_spectrum(dim, pot, Grid(0.0, 6.0, _pts(24000, scale)), 2, sc)
-    half = fd_bound_spectrum(dim, pot, Grid(0.0, 6.0, _pts(12000, scale)), 2, sc)
-    out: List[_Pair] = []
-    for i, N in enumerate((1, 2)):
-        row = _row(
-            f"finite_well_n2_N{N}",
-            closed[i][0].eps,
-            fine[i].eps,
-            half[i].eps,
-            _SPECTRUM_TOL,
-        )
-        out.append((row, _SPECTRUM_TOL))
-    return out
-
-
-def _grid_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
-    return _well_rows(scale, sc) + _oscillator_rows(scale, sc) + _finite_well_rows(scale, sc)
+    fine = fd_bound_spectrum(dim, pot, Grid(6.0, 24000), 2, sc)
+    half = fd_bound_spectrum(dim, pot, Grid(6.0, 12000), 2, sc)
+    return [
+        _row(f"finite_well_n2_N{N}", closed[i][0].eps, fine[i].eps, half[i].eps, _SPECTRUM_TOL)
+        for i, N in enumerate((1, 2))
+    ]
 
 
 def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
-    near = Grid(0.0, 2.5, 100)
-    far = Grid(0.0, 3.25, 100)
+    # matching radii of each row and of its check
+    near, far = 2.5, 3.25
     out: List[_Pair] = []
 
     dim1 = Dimension(1)
     a = fd_scattering(dim1, Free(), 2.0, near, sc)
     b = fd_scattering(dim1, Free(), 2.0, far, sc)
-    out.append(
-        (_row("free_interior_intensity", 4.0, a.interior_intensity, b.interior_intensity, 1e-8, reduce=1.0), 1e-8)
-    )
+    out.append(_row("free_interior_intensity", 4.0, a.interior_intensity, b.interior_intensity, 1e-8, reduce=1.0))
 
     for sign, tag in ((-1, "attractive"), (1, "barrier")):
         pot = DeltaShell(g=1.5, sign=sign, R=1.0)
@@ -186,30 +166,28 @@ def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
         closed = delta_scattering(dim1, gamma, 1.0, 5.0, sc)
         fine = fd_scattering(dim1, pot, 5.0, near, sc)
         chk = fd_scattering(dim1, pot, 5.0, far, sc)
-        row = _row(
+        out.append(_row(
             f"delta_scattering_{tag}_n1",
             closed.interior_intensity,
             fine.interior_intensity,
             chk.interior_intensity,
             _SCATTERING_TOL,
             reduce=1.0,
-        )
-        out.append((row, _SCATTERING_TOL))
+        ))
 
     dim2 = Dimension(2)
     pot = FiniteWell(V0=5.0, R=1.0)
     closed = finite_well_scattering(dim2, 5.0, 1.0, 2.0, sc)
     fine = fd_scattering(dim2, pot, 2.0, near, sc)
     chk = fd_scattering(dim2, pot, 2.0, far, sc)
-    row = _row(
+    out.append(_row(
         "finite_well_scattering_n2",
         closed.interior_intensity,
         fine.interior_intensity,
         chk.interior_intensity,
         _SCATTERING_TOL,
         reduce=1.0,
-    )
-    out.append((row, _SCATTERING_TOL))
+    ))
     return out
 
 
@@ -223,15 +201,14 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
     got = shooting_bound_levels(dim1, osc, 7.0, lo, hi, sc, count=2)
     chk = shooting_bound_levels(dim1, osc, 8.0, lo, hi, sc, count=2)
     for k in (0, 1):
-        row = _row(
+        out.append(_row(
             f"shooting_oscillator_n1_N{k}",
             closed[k].eps,
             got[k],
             chk[k],
             _SPECTRUM_TOL,
             reduce=1.0,
-        )
-        out.append((row, _SPECTRUM_TOL))
+        ))
 
     dim2 = Dimension(2)
     pot = FiniteWell(V0=18.0, R=1.0)
@@ -239,15 +216,14 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
     lo, hi = -1.1 * deepest.eps, -0.9 * deepest.eps
     got = shooting_bound_levels(dim2, pot, 3.0, lo, hi, sc, count=1)
     chk = shooting_bound_levels(dim2, pot, 3.5, lo, hi, sc, count=1)
-    row = _row(
+    out.append(_row(
         "shooting_finite_well_n2_N1",
         -deepest.eps,
         got[0],
         chk[0],
         _SPECTRUM_TOL,
         reduce=1.0,
-    )
-    out.append((row, _SPECTRUM_TOL))
+    ))
     return out
 
 
@@ -260,10 +236,7 @@ def _series_combination(digits: int) -> float:
 
 
 def _series_rows() -> List[_Pair]:
-    out: List[_Pair] = []
-    out.append(
-        (_row("series_wronskian_ik_x2", 0.5, _series_combination(25), _series_combination(35), 1e-13, reduce=1.0), 1e-13)
-    )
+    out = [_row("series_wronskian_ik_x2", 0.5, _series_combination(25), _series_combination(35), 1e-13, reduce=1.0)]
     probes = (
         ("kernel_vs_series_j", "bessel_j", 0.5, 1.0, bessel_j),
         ("kernel_vs_series_y", "bessel_y", 0.0, 2.0, bessel_y),
@@ -273,79 +246,35 @@ def _series_rows() -> List[_Pair]:
         closed = kernel(nu, x).value
         fine = float(series_reference(fid, nu, x, 30))
         chk = float(series_reference(fid, nu, x, 40))
-        out.append((_row(rid, closed, fine, chk, 1e-11, reduce=1.0), 1e-11))
+        out.append(_row(rid, closed, fine, chk, 1e-11, reduce=1.0))
     return out
 
 
-def _shell_bound_rows(scale: float, sc: PhysicalScales) -> List[_Pair]:
+def _shell_bound_rows(sc: PhysicalScales) -> List[_Pair]:
     # the regularized shell converges one order below the smooth rows
-    # (kinked eigenfunction), so these carry their own looser budget and
-    # are reported alongside the default matrix instead of inside it
+    # (kinked eigenfunction), so these carry their own looser budget
     out: List[_Pair] = []
     cases = (
         ("delta_shell_bound_n2", 2, 3.0, 4.0, 8000),
         ("delta_shell_bound_strong_n0", 0, 25.0, 1.6, 6000),
     )
-    for rid, n, g, r_max, base in cases:
+    for rid, n, g, r_max, points in cases:
         dim = Dimension(n)
         gamma = sc.reduced_coupling(g)
         closed = delta_bound_energy(dim, gamma, 1.0, sc)[0]
         pot = DeltaShell(g=g, sign=-1, R=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(0.0, r_max, _pts(base, scale)), 1, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(0.0, r_max, _pts(base // 2, scale)), 1, sc)
-        row = _row(
-            rid,
-            closed.eps,
-            fine[0].eps,
-            half[0].eps,
-            _SHELL_BOUND_TOL,
-        )
-        out.append((row, _SHELL_BOUND_TOL))
+        fine = fd_bound_spectrum(dim, pot, Grid(r_max, points), 1, sc)
+        half = fd_bound_spectrum(dim, pot, Grid(r_max, points // 2), 1, sc)
+        out.append(_row(rid, closed.eps, fine[0].eps, half[0].eps, _SHELL_BOUND_TOL))
     return out
 
 
-def _default_pairs(sc: PhysicalScales) -> List[_Pair]:
-    return (
-        _grid_rows(1.0, sc)
-        + _scattering_rows(sc)
-        + _shooting_rows(sc)
-        + _series_rows()
-    )
-
-
-def cross_validate(suite: str = "default") -> List[OracleReport]:
-    """Closed-form-vs-oracle comparison matrix for one suite id.
-
-    ``default`` runs every problem family at production resolution and
-    raises :class:`ComputationError` naming any row whose rel_diff
-    exceeds its registered tolerance.  ``coarse`` reruns the grid-based
-    rows at a deliberately unresolved spacing so the convergence flags
-    trip (negative control; nothing raises).  ``empty`` returns no rows.
-    """
-    sc = PhysicalScales()
-    if suite == "empty":
-        return []
-    if suite == "coarse":
-        return [row for row, _ in _grid_rows(_COARSE_SCALE, sc)]
-    if suite == "default":
-        pairs = _default_pairs(sc)
-        failures = [
-            f"{row.id}: rel_diff {row.rel_diff:.3e} over {tol:.1e}"
-            for row, tol in pairs
-            if row.rel_diff > tol
-        ]
-        if failures:
-            raise ComputationError("cross-validation failures: " + "; ".join(failures))
-        return [row for row, _ in pairs]
-    raise DomainError(f"unknown validation suite {suite!r}")
-
-
-def _printed_oscillator_mass(n: int, N: int, mu: float) -> float:
-    # the printed constant, integrated brute-force with the r^n weight
-    c2 = math.sqrt(mu) * 2.0 * math.gamma(N + 1.0) / math.gamma(N + 0.5 * (n + 3))
-    r = np.linspace(0.0, 12.0 / math.sqrt(mu), 48001)
-    lag = np.array([laguerre(N, 0.5 * (n - 1), mu * t * t) for t in r])
-    f = c2 * r**n * np.exp(-mu * r * r) * lag * lag
+def _printed_oscillator_mass() -> float:
+    # the printed constant at n = 2, N = 0, mu = 1, integrated brute-force
+    # with the r^2 weight; the Laguerre factor L_0 is exactly 1
+    c2 = 2.0 / math.gamma(2.5)
+    r = np.linspace(0.0, 12.0, 48001)
+    f = c2 * r**2 * np.exp(-r * r)
     return float(np.trapezoid(f, r))
 
 
@@ -380,7 +309,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
         }
     )
 
-    fdosc = fd_bound_spectrum(dim2, Harmonic(omega=1.0), Grid(0.0, 9.0, 4000), 2, sc)
+    fdosc = fd_bound_spectrum(dim2, Harmonic(omega=1.0), Grid(9.0, 4000), 2, sc)
     entries.append(
         {
             "id": "oscillator_ladder_symbol",
@@ -407,7 +336,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
             "evidence": {
                 "n": 2,
                 "N": 0,
-                "printed_weighted_mass": _printed_oscillator_mass(2, 0, 1.0),
+                "printed_weighted_mass": _printed_oscillator_mass(),
                 "implemented_weighted_mass": norm_integral(psi_o, math.inf, 1e-10),
             },
             "resolution": "the printed constant leaves the r^n-weighted mass at "
@@ -590,7 +519,8 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
 def validation_report(sc: PhysicalScales | None = None) -> Dict:
     """Full JSON-ready validation report.
 
-    Rows cover the default cross-validation matrix plus the regularized
+    Rows cover every problem family (bound spectra on grids, scattering
+    sweeps, shooting and series references) plus the regularized
     shell-bound comparisons, which carry their own looser registered
     tolerance (the width extrapolation of a kinked eigenfunction
     converges one order below the smooth-potential rows).  The
@@ -600,7 +530,15 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
     """
     sc = PhysicalScales() if sc is None else sc
     with series_memo():
-        pairs = _default_pairs(sc) + _shell_bound_rows(1.0, sc)
+        pairs = (
+            _well_rows(sc)
+            + _oscillator_rows(sc)
+            + _finite_well_rows(sc)
+            + _scattering_rows(sc)
+            + _shooting_rows(sc)
+            + _series_rows()
+            + _shell_bound_rows(sc)
+        )
     within = all(row.rel_diff <= tol for row, tol in pairs)
     converged = all(row.converged for row, _ in pairs)
     return {
@@ -616,4 +554,4 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
     }
 
 
-__all__ = ["OracleReport", "cross_validate", "validation_report"]
+__all__ = ["OracleReport", "validation_report"]

@@ -244,14 +244,13 @@ def energy_functional(
     psi: RadialWaveFunction,
     scales: PhysicalScales,
     potential: Optional[Potential] = None,
-    tol: float = 1e-10,
 ) -> float:
     """Expectation value of the energy for a normalized wave-function.
 
-    Integrates r^n [ (hbar^2/2m) |Psi'|^2 + V(r) |Psi|^2 ] dr, adding
-    the shell term sign * g * R^n |Psi(R)|^2 for a delta potential.
-    Raises the divergence family for modes whose kinetic integral does
-    not exist.
+    Integrates r^n [ (hbar^2/2m) |Psi'|^2 + V(r) |Psi|^2 ] dr to absolute
+    tolerance _NORM_TOL, adding the shell term sign * g * R^n |Psi(R)|^2
+    for a delta potential.  Raises the divergence family for modes whose
+    kinetic integral does not exist.
     """
     _check_origin(psi)
     n = psi.dimension.n
@@ -268,7 +267,7 @@ def energy_functional(
             total += v * (value * value)
         return r**n * total
 
-    segments, _ = _segments(psi, math.inf, budget_tail=tol * _TAIL_FRACTION,
+    segments, _ = _segments(psi, math.inf, budget_tail=_NORM_TOL * _TAIL_FRACTION,
                             kin_scale=kin_scale, harmonic_v_coeff=harmonic_v_coeff)
     # Keep potential steps on segment boundaries, not inside panels.
     if isinstance(potential, FiniteWell):
@@ -280,7 +279,7 @@ def energy_functional(
             else:
                 refined.append((lo, hi))
         segments = refined
-    per_segment_tol = tol * (1.0 - _TAIL_FRACTION) / len(segments)
+    per_segment_tol = _NORM_TOL * (1.0 - _TAIL_FRACTION) / len(segments)
     total = 0.0
     for lo, hi in segments:
         value, _ = integrate(integrand, lo, hi, per_segment_tol)

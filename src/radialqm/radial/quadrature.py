@@ -28,6 +28,8 @@ _K15_CENTER_W = 0.209482141084728
 _G7_CENTER_W = 0.417959183673469
 
 _MAX_INTERVALS = 4000
+# Relative accuracy floor of a result, a few ulp of the panel sums.
+_ROUNDING = 1e-14
 
 
 def _rule(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
@@ -56,9 +58,11 @@ def integrate(
 ) -> tuple[float, float]:
     """Integrate f over [a, b] to absolute tolerance tol.
 
+    The tolerance never goes below 1e-14 of the running |value|: finer
+    than that is below the rounding of the panel sums themselves.
     Returns (value, estimated absolute error).  Raises ComputationError
     if the subdivision budget runs out before the estimate drops below
-    tol, rather than returning a value that misses its contract.
+    that target, rather than returning a value that misses its contract.
     """
     if not tol > 0.0:
         raise ComputationError(f"quadrature tolerance must be positive, got {tol!r}")
@@ -77,7 +81,7 @@ def integrate(
     counter = 1
     # Width floor stops runaway splitting at a rough point.
     min_width = 1e-14 * (abs(a) + abs(b) + 1.0)
-    while total_err > tol and len(heap) < _MAX_INTERVALS:
+    while total_err > max(tol, _ROUNDING * abs(total_value)) and len(heap) < _MAX_INTERVALS:
         neg_err, _, lo, hi, val, err_est = heapq.heappop(heap)
         if hi - lo < min_width:
             # Cannot usefully split further; put it back and stop.
@@ -95,9 +99,10 @@ def integrate(
     # Recompute the totals from the heap to shed accumulated rounding.
     total_value = math.fsum(item[4] for item in heap)
     total_err = math.fsum(item[5] for item in heap)
-    if total_err > tol:
+    target = max(tol, _ROUNDING * abs(total_value))
+    if total_err > target:
         raise ComputationError(
-            f"quadrature stalled at estimated error {total_err:.3e} > tol {tol:.3e}"
+            f"quadrature stalled at estimated error {total_err:.3e} > tol {target:.3e}"
         )
     return total_value, total_err
 

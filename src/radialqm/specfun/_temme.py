@@ -19,10 +19,11 @@ import math
 EULER = 0.5772156649015328606
 
 
-def _zeta_table(k_max: int = 64, cut: int = 40) -> list[float]:
-    """zeta(k) for k = 2..k_max; indices 0,1 unused."""
+def _zeta_table() -> list[float]:
+    """zeta(k) for k = 2..64; indices 0,1 unused."""
+    cut = 40
     table = [0.0, 0.0]
-    for k in range(2, k_max + 1):
+    for k in range(2, 65):
         s = math.fsum(n ** (-float(k)) for n in range(1, cut))
         nk = float(cut) ** (-float(k))
         # Euler-Maclaurin tail through the B6 correction

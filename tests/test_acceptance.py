@@ -55,7 +55,7 @@ def test_criterion_1_hard_box_spectra():
     failures = []
     for n in range(6):
         closed = infinite_well_spectrum(Dimension(n), 1.0, 5, SC)
-        oracle = fd_bound_spectrum(Dimension(n), InfiniteWell(1.0), Grid(0.0, 1.0, 4000), 5, SC)
+        oracle = fd_bound_spectrum(Dimension(n), InfiniteWell(1.0), Grid(1.0, 4000), 5, SC)
         for lv, fd in zip(closed, oracle):
             rel = abs(lv.eps - fd.eps) / lv.eps
             if rel > 1e-4:
@@ -72,7 +72,7 @@ def test_criterion_2_oscillator_spectra_and_orthonormality():
     failures = []
     for n in range(6):
         closed = oscillator_spectrum(Dimension(n), 1.0, 10, SC)
-        oracle = fd_bound_spectrum(Dimension(n), Harmonic(1.0), Grid(0.0, 10.0, 6000), 5, SC)
+        oracle = fd_bound_spectrum(Dimension(n), Harmonic(1.0), Grid(10.0, 6000), 5, SC)
         for k in range(5):
             idx = 2 * k if n == 0 else k
             rel = abs(closed[idx].eps - oracle[k].eps) / closed[idx].eps
@@ -152,7 +152,7 @@ def test_criterion_4_shell_bound_states():
     for n, gamma, r_max in ((2, 6.0, 3.0), (1, 4.0, 3.5), (0, 50.0, 1.2)):
         lv, _ = delta_bound_energy(Dimension(n), gamma, 1.0, SC)
         fd = fd_bound_spectrum(Dimension(n), DeltaShell(gamma / 2.0, -1, 1.0),
-                               Grid(0.0, r_max, 8000), 1, SC)
+                               Grid(r_max, 8000), 1, SC)
         rel = abs(lv.eps - fd[0].eps) / lv.eps
         if rel > 1e-3:
             failures.append(f"regularized oracle n={n} rel {rel:.2e}")
@@ -180,8 +180,7 @@ def test_criterion_5_shell_scattering():
     swept = {}
     for name, sign in (("barrier", 1), ("well", -1)):
         solved = delta_scattering(Dimension(1), sign * 1.5, 1.0, 5.0, SC)
-        swept[name] = fd_scattering(Dimension(1), DeltaShell(0.75, sign, 1.0), 5.0,
-                                    Grid(0.0, 2.5, 100), SC)
+        swept[name] = fd_scattering(Dimension(1), DeltaShell(0.75, sign, 1.0), 5.0, 2.5, SC)
         gap = max(abs(solved.interior_intensity - swept[name].interior_intensity),
                   abs(solved.interior_coeff - swept[name].interior_coeff),
                   abs(solved.exterior_out_coeff - swept[name].exterior_out_coeff))
@@ -203,7 +202,7 @@ def test_criterion_6_finite_well():
     for n in range(6):
         pairs = finite_well_bound_spectrum(Dimension(n), 18.0, 1.0, SC)
         oracle = fd_bound_spectrum(Dimension(n), FiniteWell(18.0, 1.0),
-                                   Grid(0.0, 6.0, 24000), len(pairs), SC)
+                                   Grid(6.0, 24000), len(pairs), SC)
         for (lv, root), fd in zip(pairs, oracle):
             if abs(root.residual) > 1e-10:
                 failures.append(f"n={n} N={lv.N} residual {root.residual:.2e}")

@@ -8,6 +8,7 @@ import math
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from radialqm.cli import main
@@ -202,6 +203,29 @@ def test_console_script_smoke():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].startswith("1,9.86960440109,")
+
+
+@pytest.mark.parametrize("n, omega, level", [(0, 1.0, 14), (25, 0.5, 3)])
+def test_oscillator_modes_of_large_unnormalized_mass(n, omega, level):
+    # the unnormalized mass is 1.3e15 at n = 0, level 14; normalization
+    # must not ask the quadrature for accuracy below rounding
+    code, out, err = run_cli(["wavefunction", "--problem", "harmonic", "--n", str(n),
+                              "--omega", str(omega), "--level", str(level), "--format", "json"])
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    with mpmath.workdps(30):
+        mu, N = mpmath.mpf(omega), level
+        if n == 0:
+            mass = 2**N * mpmath.factorial(N) * mpmath.sqrt(mpmath.pi / mu) / 2
+            form = lambda r: mpmath.hermite(N, mpmath.sqrt(mu) * r)
+        else:
+            nu = mpmath.mpf(n - 1) / 2
+            mass = mpmath.gamma(N + nu + 1) / (2 * mpmath.factorial(N) * mu ** ((n + 1) / 2))
+            form = lambda r: mpmath.laguerre(N, nu, mu * r * r)
+        want = [float(form(r) * mpmath.exp(-mu * r * r / 2) / mpmath.sqrt(mass))
+                for r in (mpmath.mpf(row["r"]) for row in rows)]
+    scale = max(abs(w) for w in want)
+    assert max(abs(row["psi"] - w) for row, w in zip(rows, want)) <= 1e-10 * scale
 
 
 def test_zero_table_where_the_order_sweep_lands_on_a_zero():

@@ -6,10 +6,12 @@ import json
 
 import pytest
 
-from radialqm.errors import DomainError
-from radialqm.oracle import OracleReport, cross_validate, fd, validation_report
+from radialqm.oracle import Grid, OracleReport, fd, fd_bound_spectrum, validation_report
 from radialqm.oracle import report as report_module
 from radialqm.oracle.series import series_reference
+from radialqm.radial import Dimension, PhysicalScales
+from radialqm.radial.model import Harmonic
+from radialqm.solvers import oscillator_spectrum
 
 REQUIRED_DISCREPANCIES = {
     "printed_infinite_well_norm_constant",
@@ -23,13 +25,16 @@ REQUIRED_DISCREPANCIES = {
 
 
 @pytest.fixture(scope="module")
-def default_rows():
-    return cross_validate("default")
+def report():
+    return validation_report()
 
 
 @pytest.fixture(scope="module")
-def report():
-    return validation_report()
+def default_rows(report):
+    # the report's rows minus the regularized shell-bound pair, which
+    # carries its own looser tolerance
+    return [OracleReport(**row) for row in report["rows"]
+            if not row["id"].startswith("delta_shell_bound_")]
 
 
 def test_default_suite_passes_and_converges(default_rows):
@@ -60,15 +65,17 @@ def test_every_problem_family_is_covered(default_rows):
 
 
 def test_coarse_suite_flags_non_convergence():
-    rows = cross_validate("coarse")
-    assert rows
-    assert any(not row.converged for row in rows)
-
-
-def test_empty_and_unknown_suites():
-    assert cross_validate("empty") == []
-    with pytest.raises(DomainError):
-        cross_validate("nope")
+    # negative control: the n = 1 oscillator rows on an unresolved grid
+    # pair must trip the convergence flag
+    sc = PhysicalScales()
+    dim = Dimension(1)
+    closed = oscillator_spectrum(dim, 1.0, 2, sc)
+    fine = fd_bound_spectrum(dim, Harmonic(1.0), Grid(9.0, 160), 2, sc)
+    half = fd_bound_spectrum(dim, Harmonic(1.0), Grid(9.0, 100), 2, sc)
+    for k in (0, 1):
+        row, _ = report_module._row(f"oscillator_n1_N{k}", closed[k].eps, fine[k].eps,
+                                    half[k].eps, report_module._SPECTRUM_TOL)
+        assert not row.converged
 
 
 def test_report_structure(report):

@@ -137,6 +137,18 @@ def test_irregular_origin_piece_is_rejected():
     )
     with pytest.raises(OriginDivergenceError):
         norm_integral(bad, 10.0, 1e-8)
+    with pytest.raises(OriginDivergenceError):
+        bad.sample(0.0)
+    with pytest.raises(OriginDivergenceError):
+        bad.derivative(0.0)
+
+
+def test_regular_mode_takes_its_limit_at_the_origin(scales):
+    # r^(-nu) J_nu(k r) at r = 0 is (k/2)^nu / Gamma(nu + 1), flat to O(r^2)
+    psi = infinite_well_wavefunction(Dimension(2), 1.0, 1, scales)
+    assert psi.sample(0.0) == pytest.approx(psi.sample(1e-7), rel=1e-12)
+    assert psi.derivative(0.0) == 0.0
+    assert abs(psi.derivative(1e-7)) < 1e-5
 
 
 def test_oscillatory_tail_cannot_be_normalized_to_infinity(scales):

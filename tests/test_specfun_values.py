@@ -46,6 +46,15 @@ def test_reference_strings_round_trip():
         assert float(row.value_str) == row.value
 
 
+def test_origin_values():
+    # J_nu(0) = I_nu(0) is 1 at order 0 and 0 above it; below it I is unbounded
+    assert bessel_j(0.0, 0.0).value == 1.0
+    assert bessel_j(2.5, 0.0).value == 0.0
+    assert bessel_i(2.5, 0.0).value == 0.0
+    flagged = bessel_i(-0.5, 0.0)
+    assert not flagged.is_finite and flagged.est_abs_error == math.inf
+
+
 def test_error_estimates_are_sane():
     for row in ROWS[::13]:
         got = KERNELS[row.function](row.nu, row.x)
