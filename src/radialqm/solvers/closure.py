@@ -11,6 +11,7 @@ result is exactly invariant under swapping the wavenumbers.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 from ..errors import require_positive
 from ..radial import Dimension
@@ -23,30 +24,34 @@ _QUAD_TOL = 1e-7
 _DIAGONAL_CUT = 1e-7
 
 
-def _overlap(nu: float, a: float, k1: float, k2: float) -> float:
-    """Integral of r J_nu(k1 r) J_nu(k2 r) dr over (0, a)."""
+def _j_pair(nu: float, x: float) -> Tuple[float, float]:
+    """(J_nu(x), J_{nu+1}(x))."""
+    return bessel_j(nu, x).value, bessel_j(nu + 1.0, x).value
+
+
+def _overlap(nu: float, a: float, k1: float, ja: Tuple[float, float], k2: float) -> float:
+    """Integral of r J_nu(k1 r) J_nu(k2 r) dr over (0, a); ja is _j_pair(nu, k1 a)."""
     mean = 0.5 * (k1 + k2)
     if abs(k1 - k2) <= _DIAGONAL_CUT * mean:
         x = mean * a
-        j0 = bessel_j(nu, x).value
-        j1 = bessel_j(nu + 1.0, x).value
+        j0, j1 = _j_pair(nu, x)
         # diagonal form with the nu-1 order removed via the recurrence
         return 0.5 * a * a * (j0 * j0 + j1 * j1 - 2.0 * nu * j0 * j1 / x)
-    ja0 = bessel_j(nu, k1 * a).value
-    ja1 = bessel_j(nu + 1.0, k1 * a).value
-    jb0 = bessel_j(nu, k2 * a).value
-    jb1 = bessel_j(nu + 1.0, k2 * a).value
+    ja0, ja1 = ja
+    jb0, jb1 = _j_pair(nu, k2 * a)
     return a * (k1 * ja1 * jb0 - k2 * ja0 * jb1) / (k1 * k1 - k2 * k2)
 
 
 def _smeared(nu: float, a: float, k_fix: float, center: float, sigma: float) -> float:
     lo = max(center - _WINDOW_SIGMAS * sigma, 0.0)
     hi = center + _WINDOW_SIGMAS * sigma
+    # the fixed slot's values do not depend on the node
+    ja = _j_pair(nu, k_fix * a)
 
     def integrand(q: float) -> float:
         arg = (q - center) / sigma
         weight = math.exp(-0.5 * arg * arg)
-        return weight * math.sqrt(k_fix * q) * _overlap(nu, a, k_fix, q)
+        return weight * math.sqrt(k_fix * q) * _overlap(nu, a, k_fix, ja, q)
 
     value, _ = integrate(integrand, lo, hi, _QUAD_TOL)
     return value

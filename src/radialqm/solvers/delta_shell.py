@@ -25,7 +25,7 @@ from ..radial import (
 )
 from ..radial.norms import normalize
 from ..specfun.bessel_ik import bessel_i, bessel_k, scaled_bessel_i, scaled_bessel_k
-from ..specfun.bessel_jy import bessel_j, bessel_y
+from ..specfun.bessel_jy import bessel_jy
 from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import log_grid, scan_roots
@@ -129,10 +129,7 @@ def delta_scattering(
     nu = dim.nu
     k = math.sqrt(eps)
     x = k * R
-    j0 = bessel_j(nu, x).value
-    j1 = bessel_j(nu + 1.0, x).value
-    y0 = bessel_y(nu, x).value
-    y1 = bessel_y(nu + 1.0, x).value
+    j0, j1, y0, y1 = (r.value for r in bessel_jy(nu, x))
     # the slope jumps by g times the value across the shell
     a, b = solve_interface(j0, k * j1 - g * j0, k, j0, j1, y0, y1)
     t1 = math.pi * g * R * j0 * y0

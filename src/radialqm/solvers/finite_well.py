@@ -27,8 +27,8 @@ from ..radial import (
     RadialWaveFunction,
 )
 from ..radial.norms import normalize
-from ..specfun.bessel_ik import scaled_bessel_k
-from ..specfun.bessel_jy import bessel_j, bessel_y
+from ..specfun.bessel_ik import scaled_bessel_k, scaled_bessel_k_pair
+from ..specfun.bessel_jy import bessel_j, bessel_jy
 from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
 from .rootfind import scan_roots, uniform_grid
@@ -49,8 +49,9 @@ def _residual_factory(
     def parts(t: float) -> Tuple[float, float]:
         kr = math.sqrt(max(Q * Q - t * t, 0.0))
         kr = max(kr, 5e-324)
-        first = (t / R) * bessel_j(nu + 1.0, t).value * scaled_bessel_k(nu, kr).value
-        second = (kr / R) * scaled_bessel_k(nu + 1.0, kr).value * bessel_j(nu, t).value
+        k0, k1 = (r.value for r in scaled_bessel_k_pair(nu, kr))
+        first = (t / R) * bessel_j(nu + 1.0, t).value * k0
+        second = (kr / R) * k1 * bessel_j(nu, t).value
         return first, second
 
     def residual(t: float) -> float:
@@ -141,10 +142,7 @@ def finite_well_scattering(
     y = p * R
     jt0 = bessel_j(nu, y).value
     jt1 = bessel_j(nu + 1.0, y).value
-    j0 = bessel_j(nu, x).value
-    j1 = bessel_j(nu + 1.0, x).value
-    y0 = bessel_y(nu, x).value
-    y1 = bessel_y(nu + 1.0, x).value
+    j0, j1, y0, y1 = (r.value for r in bessel_jy(nu, x))
     a, b = solve_interface(jt0, p * jt1, k, j0, j1, y0, y1)
     # printed closed form, kept verbatim for comparison
     E = scales.physical_energy(eps)

@@ -14,6 +14,7 @@ need ratios at large argument.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 from ..errors import ComputationError
 from ._temme import temme_start
@@ -24,10 +25,12 @@ from .result import EvalResult, overflow_result
 _EPS = 2.2e-16
 _LOG_MAX = math.log(1.7976931348623157e308)
 _MAX_SERIES = 2600
+# relative error of the K recurrence
+_K_REL = 4e-15
 
 
 def _i_series(nu: float, x: float):
-    """(I_nu, I'_nu, est) by the ascending series; x > 0."""
+    """(I_nu, est) by the ascending series; x > 0."""
     g, g_rel = gamma_plus_one(nu)
     try:
         seed = (0.5 * x) ** nu / g
@@ -36,36 +39,33 @@ def _i_series(nu: float, x: float):
         # (x/2)^nu alone leaves the double range; the ratio may not
         log_seed = nu * math.log(0.5 * x) - math.log(g)
         if log_seed > _LOG_MAX:
-            return math.inf, math.inf, math.inf
+            return math.inf, math.inf
         seed = math.exp(log_seed)
         # the logs round relative to their own size, exp turns that into relative error
         seed_rel = 2.0 * _EPS * (abs(nu * math.log(0.5 * x)) + abs(math.log(g)) + 1.0)
     if seed == 0.0:
-        return 0.0, 0.0, 5e-324
+        return 0.0, 5e-324
     seed_rel += g_rel
     z = 0.25 * x * x
     terms = [seed]
-    dterms = [seed * nu / x]
     t = seed
     for k in range(_MAX_SERIES):
         t *= z / ((k + 1.0) * (nu + k + 1.0))
         if math.isinf(t):
-            return math.inf, math.inf, math.inf
+            return math.inf, math.inf
         terms.append(t)
-        dterms.append(t * (nu + 2.0 * (k + 1.0)) / x)
         # t == 0 stops a series whose seed is so small that 1e-18 * seed underflows
         if t < 1e-18 * terms[0] or (k > z and t < 1e-18 * max(terms)) or t == 0.0:
             break
     else:
         raise ComputationError("modified series did not converge")
     value = math.fsum(terms)
-    deriv = math.fsum(dterms)
     if math.isinf(value):
-        return math.inf, math.inf, math.inf
+        return math.inf, math.inf
     # rounding, which grows along the term recurrence, plus the seed's
     # error, which scales every term
     rel = (2.0 + math.sqrt(len(terms))) * _EPS + seed_rel
-    return value, deriv, max(rel * value, 5e-324 * len(terms))
+    return value, max(rel * value, 5e-324 * len(terms))
 
 
 def _temme_k_scaled(mu: float, x: float):
@@ -139,15 +139,22 @@ def _k_scaled_base(mu: float, x: float):
 
 
 def _k_scaled_engine(nu: float, x: float):
-    """(e^x K_nu, e^x K_{nu+1}, est_rel) for nu >= -1/2, x > 0."""
+    """(e^x K_nu, e^x K_{nu+1}) for nu >= -1/2, x > 0; inf past the double range."""
     nl = int(nu + 0.5)
     mu = nu - nl
     k0, k1 = _k_scaled_base(mu, x)
     for m in range(1, nl + 1):
         k0, k1 = k1, (2.0 * (mu + m) / x) * k1 + k0
-        if math.isinf(k1):
-            return k0, k1, math.inf
-    return k0, k1, 4e-15
+        if math.isinf(k1) and m < nl:
+            # the orders above grow from here, order nu included
+            return math.inf, math.inf
+    return k0, k1
+
+
+def _scaled_k_result(k: float) -> EvalResult:
+    if math.isinf(k):
+        return overflow_result()
+    return EvalResult(k, abs(k) * _K_REL)
 
 
 def bessel_i(nu: float, x: float) -> EvalResult:
@@ -155,7 +162,7 @@ def bessel_i(nu: float, x: float) -> EvalResult:
     nu, x = check_args("bessel_i", nu, x, origin=True)
     if x == 0.0:
         return origin_value(nu)
-    value, _, est = _i_series(nu, x)
+    value, est = _i_series(nu, x)
     if math.isinf(value):
         return overflow_result()
     return EvalResult(value, est)
@@ -164,20 +171,30 @@ def bessel_i(nu: float, x: float) -> EvalResult:
 def bessel_k(nu: float, x: float) -> EvalResult:
     """K_nu(x) for nu >= -1/2, x > 0."""
     nu, x = check_args("bessel_k", nu, x, origin=False)
-    k_nu, _, rel = _k_scaled_engine(nu, x)
-    if math.isinf(k_nu) or math.isinf(rel):
+    k_nu = _k_scaled_engine(nu, x)[0]
+    if math.isinf(k_nu):
         return overflow_result()
     value = k_nu * math.exp(-x)
-    return EvalResult(value, abs(value) * rel + 5e-324)
+    return EvalResult(value, abs(value) * _K_REL + 5e-324)
 
 
 def scaled_bessel_k(nu: float, x: float) -> EvalResult:
     """e^x K_nu(x): internal helper for deep-decay ratios (not public API)."""
     nu, x = check_args("scaled_bessel_k", nu, x, origin=False)
-    k_nu, _, rel = _k_scaled_engine(nu, x)
-    if math.isinf(k_nu) or math.isinf(rel):
-        return overflow_result()
-    return EvalResult(k_nu, abs(k_nu) * rel)
+    return _scaled_k_result(_k_scaled_engine(nu, x)[0])
+
+
+def scaled_bessel_k_pair(nu: float, x: float) -> Tuple[EvalResult, EvalResult]:
+    """(e^x K_nu, e^x K_{nu+1}) from one recurrence, each equal to its own
+    scaled_bessel_k call."""
+    nu, x = check_args("scaled_bessel_k_pair", nu, x, origin=False)
+    k0, k1 = _k_scaled_engine(nu, x)
+    nu1 = nu + 1.0
+    nl = int(nu + 0.5)
+    if int(nu1 + 0.5) != nl + 1 or nu1 - (nl + 1) != nu - nl:
+        # nu + 1 rounds to another base order, whose recurrence differs in the last bits
+        k1 = _k_scaled_engine(nu1, x)[0]
+    return _scaled_k_result(k0), _scaled_k_result(k1)
 
 
 def scaled_bessel_i(nu: float, x: float) -> EvalResult:
@@ -187,7 +204,7 @@ def scaled_bessel_i(nu: float, x: float) -> EvalResult:
         return origin_value(nu)
     if x <= 600.0:
         # series value stays inside double range up to x ~ 700
-        value, _, est = _i_series(nu, x)
+        value, est = _i_series(nu, x)
         damp = math.exp(-x)
         scaled = value * damp
         return EvalResult(scaled, est * damp + 2.0 * _EPS * abs(scaled))

@@ -19,6 +19,7 @@ routines are involved anywhere in the package.
 from __future__ import annotations
 
 import math
+from typing import Tuple
 
 from ..errors import ComputationError
 from ._temme import temme_start
@@ -44,21 +45,19 @@ def _asym_region(nu: float, x: float) -> bool:
 
 
 def _j_series(nu: float, x: float):
-    """(J_nu, J'_nu, est_abs_error) by the ascending series; x > 0."""
+    """(J_nu, est_abs_error) by the ascending series; x > 0."""
     g, g_rel = gamma_plus_one(nu)
     seed = (0.5 * x) ** nu / g
     if seed == 0.0:
-        # below the double range; the derivative is equally negligible
-        return 0.0, 0.0, 5e-324
+        # below the double range
+        return 0.0, 5e-324
     z = 0.25 * x * x
     terms = [seed]
-    dterms = [seed * nu / x]
     t = seed
     peak = abs(seed)
     for k in range(_MAX_SERIES):
         t *= -z / ((k + 1.0) * (nu + k + 1.0))
         terms.append(t)
-        dterms.append(t * (nu + 2.0 * (k + 1.0)) / x)
         peak = max(peak, abs(t))
         # t == 0 stops a series whose peak is so small that 1e-18 * peak underflows
         if (abs(t) < 1e-18 * peak or t == 0.0) and k >= 2:
@@ -66,12 +65,11 @@ def _j_series(nu: float, x: float):
     else:
         raise ComputationError("first-kind series did not converge")
     value = math.fsum(terms)
-    deriv = math.fsum(dterms)
     # rounding, which grows along the term recurrence, plus the seed's
     # error, which scales every term
     seed_rel = g_rel + 2.0 * _EPS
     est = (2.0 + math.sqrt(len(terms))) * _EPS * (peak + abs(value)) + seed_rel * abs(value)
-    return value, deriv, max(est, 5e-324 * len(terms))
+    return value, max(est, 5e-324 * len(terms))
 
 
 def _temme_y(mu: float, x: float):
@@ -199,26 +197,21 @@ def _recur_y_up(mu: float, x: float, y0: float, y1: float, steps: int):
 
 
 def _engine(nu: float, x: float):
-    """(J, J', Y, Y', est_j, est_y) for nu >= -1/2, x > 0."""
+    """(J, Y, est_j, est_y) for nu >= -1/2, x > 0; J is the value bessel_j returns."""
     if _asym_region(nu, x):
         j, y, est = _asym_single(nu, x)
-        j1, y1, est1 = _asym_single(nu + 1.0, x)
-        jp = (nu / x) * j - j1
-        yp = (nu / x) * y - y1
-        return j, jp, y, yp, est + est1, est + est1
+        return j, y, est, est
 
     nl = int(nu + 0.5)
     mu = nu - nl
 
     if x <= 2.0:
-        j, jp, est_j = _j_series(nu, x)
+        j, est_j = _j_series(nu, x)
         y_mu, y_mu1 = _temme_y(mu, x)
         y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, nl)
         if not (math.isfinite(y) and math.isfinite(y_next)):
-            return j, jp, math.inf, math.inf, est_j, math.inf
-        yp = (nu / x) * y - y_next
-        est_y = abs(y) * 1e-14 + abs(y_next) * 1e-15
-        return j, jp, y, yp, est_j, est_y
+            return j, math.inf, est_j, math.inf
+        return j, y, est_j, abs(y) * 1e-14 + abs(y_next) * 1e-15
 
     # continued-fraction regime, 2 < x < asymptotic threshold
     f_nu, isign = _cf1(nu, x)
@@ -251,17 +244,23 @@ def _engine(nu: float, x: float):
         yp_mu = q * j_mu + p * y_mu
         j_nu = j_mu * (isign * _SEED) * resc / rj
     y_mu1 = (mu / x) * y_mu - yp_mu
-    jp_nu = f_nu * j_nu
 
     if _series_region(nu, x):
         # the ascending series is cleaner for J there; keep its value
-        j_nu, jp_nu, _ = _j_series(nu, x)
+        j_nu, est_j = _j_series(nu, x)
+    else:
+        est_j = abs(j_nu) * 1e-14
 
     y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, nl)
     if not (math.isfinite(y) and math.isfinite(y_next)):
-        return j_nu, jp_nu, math.inf, math.inf, abs(j_nu) * 1e-14, math.inf
-    yp = (nu / x) * y - y_next
-    return j_nu, jp_nu, y, yp, abs(j_nu) * 1e-14, abs(y) * 1e-14
+        return j_nu, math.inf, est_j, math.inf
+    return j_nu, y, est_j, abs(y) * 1e-14
+
+
+def _y_result(y: float, est_y: float) -> EvalResult:
+    if not math.isfinite(y):
+        return overflow_result(math.copysign(math.inf, y))
+    return EvalResult(y, est_y)
 
 
 def bessel_j(nu: float, x: float) -> EvalResult:
@@ -270,17 +269,27 @@ def bessel_j(nu: float, x: float) -> EvalResult:
     if x == 0.0:
         return origin_value(nu)
     if _series_region(nu, x):
-        value, _, est = _j_series(nu, x)
+        value, est = _j_series(nu, x)
         return EvalResult(value, est)
-    j, _, _, _, est_j, _ = _engine(nu, x)
+    j, _, est_j, _ = _engine(nu, x)
     return EvalResult(j, est_j)
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
     """Y_nu(x) for nu >= -1/2, x > 0."""
     nu, x = check_args("bessel_y", nu, x, origin=False)
-    _, _, y, _, _, est_y = _engine(nu, x)
-    if not math.isfinite(y):
-        return overflow_result(math.copysign(math.inf, y))
-    return EvalResult(y, est_y)
+    _, y, _, est_y = _engine(nu, x)
+    return _y_result(y, est_y)
 
+
+def bessel_jy(nu: float, x: float) -> Tuple[EvalResult, EvalResult, EvalResult, EvalResult]:
+    """(J_nu, J_{nu+1}, Y_nu, Y_{nu+1}) at x > 0 from one engine run per order.
+
+    Each result equals its own bessel_j or bessel_y call, value and
+    estimate alike; a match at one argument needs all four.
+    """
+    nu, x = check_args("bessel_jy", nu, x, origin=False)
+    j0, y0, est_j0, est_y0 = _engine(nu, x)
+    j1, y1, est_j1, est_y1 = _engine(nu + 1.0, x)
+    return (EvalResult(j0, est_j0), EvalResult(j1, est_j1),
+            _y_result(y0, est_y0), _y_result(y1, est_y1))

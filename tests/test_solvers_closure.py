@@ -7,7 +7,9 @@ import pytest
 
 from radialqm.errors import DomainError
 from radialqm.radial import Dimension
+from radialqm.radial.quadrature import integrate
 from radialqm.solvers import closure_check
+from radialqm.specfun import bessel_j
 
 
 def test_diagonal_recovers_unit_mass():
@@ -50,3 +52,42 @@ def test_probe_validation():
         closure_check(Dimension(1), 1.0, 1.0, 100.0, 0.0)
     with pytest.raises(DomainError):
         closure_check(Dimension(1), 1.0, 1.0, math.inf, 0.05)
+
+
+def _probe_with_calls_per_node(nu, k, k_prime, r_max, sigma):
+    """The probe with every Bessel value its own bessel_j call at every node."""
+
+    def overlap(k1, k2):
+        mean = 0.5 * (k1 + k2)
+        if abs(k1 - k2) <= 1e-7 * mean:
+            x = mean * r_max
+            j0 = bessel_j(nu, x).value
+            j1 = bessel_j(nu + 1.0, x).value
+            return 0.5 * r_max * r_max * (j0 * j0 + j1 * j1 - 2.0 * nu * j0 * j1 / x)
+        ja0 = bessel_j(nu, k1 * r_max).value
+        ja1 = bessel_j(nu + 1.0, k1 * r_max).value
+        jb0 = bessel_j(nu, k2 * r_max).value
+        jb1 = bessel_j(nu + 1.0, k2 * r_max).value
+        return r_max * (k1 * ja1 * jb0 - k2 * ja0 * jb1) / (k1 * k1 - k2 * k2)
+
+    def smeared(k_fix, center):
+        def integrand(q):
+            arg = (q - center) / sigma
+            return math.exp(-0.5 * arg * arg) * math.sqrt(k_fix * q) * overlap(k_fix, q)
+
+        lo = max(center - 8.0 * sigma, 0.0)
+        return integrate(integrand, lo, center + 8.0 * sigma, 1e-7)[0]
+
+    return 0.5 * (smeared(k, k_prime) + smeared(k_prime, k))
+
+
+@pytest.mark.parametrize("n, k, k_prime, r_max, sigma", [
+    (1, 1.0, 1.0, 200.0, 0.05),     # diagonal branch at the nodes near the center
+    (2, 1.0, 1.05, 120.0, 0.05),
+    (3, 0.35, 0.4, 80.0, 0.05),     # the window centred at 0.35 reaches q = 0
+    (6, 2.5, 2.2, 150.0, 0.1),      # asymptotic and continued-fraction arguments
+])
+def test_probe_equals_per_node_kernel_calls(n, k, k_prime, r_max, sigma):
+    nu = Dimension(n).nu
+    probe = closure_check(Dimension(n), k, k_prime, r_max, sigma)
+    assert probe.value == _probe_with_calls_per_node(nu, k, k_prime, r_max, sigma)

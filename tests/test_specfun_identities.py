@@ -20,6 +20,7 @@ from radialqm.specfun import (
     laguerre,
     laguerre_derivative,
 )
+from radialqm.specfun.bessel_ik import scaled_bessel_i, scaled_bessel_k
 
 # contract grid for the Wronskian suites
 WRONSKIAN_NUS = (0.0, 0.5, 1.0, 2.5)
@@ -65,6 +66,47 @@ def test_half_integer_closed_forms():
         assert bessel_j(0.5, x).value == pytest.approx(front * math.sin(x), abs=1e-14)
         assert bessel_j(-0.5, x).value == pytest.approx(front * math.cos(x), abs=1e-14)
         assert bessel_y(0.5, x).value == pytest.approx(-front * math.cos(x), abs=1e-14)
+
+
+# regime seams of the kernels: the series edge, the series reach of J,
+# the K trapezoid-to-asymptotic switch, and the J/Y asymptotic edge at
+# orders nu and nu + 1
+KERNEL_SEAMS = (
+    lambda nu: 2.0,
+    lambda nu: 2.0 * math.sqrt(nu + 1.0),
+    lambda nu: 20.0,
+    lambda nu: max(60.0, 0.5 * (nu + 1.0) ** 2 + 20.0),
+    lambda nu: max(60.0, 0.5 * (nu + 2.0) ** 2 + 20.0),
+)
+
+
+@st.composite
+def near_a_seam(draw):
+    nu = draw(st.floats(-0.5, 40.0))
+    seam = draw(st.sampled_from(KERNEL_SEAMS))(nu)
+    offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12.0, -1.0))
+    return nu, seam * (1.0 + offset)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_a_seam())
+def test_cross_wronskian_cylinder_at_the_seams(point):
+    nu, x = point
+    j0, j1 = bessel_j(nu, x).value, bessel_j(nu + 1.0, x).value
+    y0, y1 = bessel_y(nu, x).value, bessel_y(nu + 1.0, x).value
+    lhs = j1 * y0 - j0 * y1
+    scale = abs(j1 * y0) + abs(j0 * y1)
+    assert abs(lhs - 2.0 / (math.pi * x)) <= 1e-12 * scale
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_a_seam())
+def test_cross_wronskian_modified_at_the_seams(point):
+    # in the e^{-x} I and e^{x} K forms, as I alone overflows past x ~ 700
+    nu, x = point
+    lhs = (scaled_bessel_i(nu, x).value * scaled_bessel_k(nu + 1.0, x).value
+           + scaled_bessel_i(nu + 1.0, x).value * scaled_bessel_k(nu, x).value)
+    assert abs(lhs - 1.0 / x) <= 1e-12 / x
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 from radialqm.specfun import bessel_i, bessel_j, bessel_k, bessel_y
+from radialqm.specfun.bessel_ik import scaled_bessel_k
 from radialqm.oracle import load_reference_table
 
 from .conftest import FIXTURE_DIR
@@ -81,6 +82,37 @@ def test_series_error_estimates_cover_mpmath():
     with mpmath.workdps(40):
         for nu, x in draws:
             for kernel, exact in ((bessel_j, mpmath.besselj), (bessel_i, mpmath.besseli)):
+                got = kernel(nu, x)
+                err = abs(mpmath.mpf(got.value) - exact(mpmath.mpf(nu), mpmath.mpf(x)))
+                if not err <= got.est_abs_error:
+                    misses.append((kernel.__name__, nu, x, float(err), got.est_abs_error))
+    assert not misses, misses[:5]
+
+
+@pytest.mark.parametrize("kernel, nu, x, exact", [
+    (bessel_k, 100.5, 0.065, lambda nu, x: mpmath.besselk(nu, x)),
+    (scaled_bessel_k, 100.5, 0.0629, lambda nu, x: mpmath.exp(x) * mpmath.besselk(nu, x)),
+])
+def test_k_is_finite_where_only_the_next_order_overflows(kernel, nu, x, exact):
+    # about 1.68e306 and 4.84e307, while order nu + 1 is past the double range
+    got = kernel(nu, x)
+    assert got.is_finite and math.isfinite(got.est_abs_error)
+    assert not kernel(nu + 1.0, x).is_finite
+    with mpmath.workdps(40):
+        err = abs(mpmath.mpf(got.value) - exact(mpmath.mpf(nu), mpmath.mpf(x)))
+    assert err <= got.est_abs_error
+
+
+def test_asymptotic_error_estimates_cover_mpmath():
+    # J and Y from the amplitude-phase expansion of their own order
+    rng = random.Random(1814)
+    misses = []
+    with mpmath.workdps(40):
+        for _ in range(200):
+            nu = rng.choice((rng.uniform(-0.5, 12.0), 0.5 * rng.randint(-1, 24)))
+            edge = max(60.0, 0.5 * (nu + 1.0) ** 2 + 20.0)
+            x = edge * rng.choice((1.0 + rng.uniform(0.0, 1e-3), 10.0 ** rng.uniform(0.0, 3.0)))
+            for kernel, exact in ((bessel_j, mpmath.besselj), (bessel_y, mpmath.bessely)):
                 got = kernel(nu, x)
                 err = abs(mpmath.mpf(got.value) - exact(mpmath.mpf(nu), mpmath.mpf(x)))
                 if not err <= got.est_abs_error:
