@@ -2,8 +2,9 @@
 
 Nothing in here shares numerics with :mod:`radialqm.specfun` or the
 solvers; the point is an arithmetic path with no common code to fail in
-common.  Plain data containers (grids, result records) are shared, they
-carry no arithmetic.
+common.  Plain data containers (potentials, energy levels) and the error
+types are shared; they carry no arithmetic.  Scattering sweeps return
+bare amplitudes, never a solver record.
 """
 
 from .fd import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels

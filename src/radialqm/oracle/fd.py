@@ -39,7 +39,6 @@ from ..radial.model import (
     PhysicalScales,
     Potential,
 )
-from ..solvers.results import ScatteringResult
 from .series import series_reference
 
 __all__ = ["Grid", "fd_bound_spectrum", "fd_scattering", "shooting_bound_levels"]
@@ -395,19 +394,27 @@ def _match_exterior(nu: float, eps: float, r_max: float, u: float, p: float) -> 
     return c_out, c_in
 
 
-def _sweep_once(
-    dim: Dimension,
-    pot: Potential,
-    eps: float,
-    r_max: float,
-    scales: PhysicalScales,
+def fd_scattering(
+    dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales
 ) -> tuple[complex, complex]:
-    """One outward integration; returns (interior, outgoing) over unit incoming.
+    """(interior, outgoing) amplitudes over a unit incoming wave, by outward sweep.
 
+    The regular solution starts from its small-r series, is swept
+    outward with classical Runge-Kutta, and is decomposed at ``r_max``
+    into in- and outgoing cylinder waves using values and derivatives.
     The shell enters through its defining slope jump at the interface;
     the step potential through per-segment constants.  Either way the
     integrator never sees values from the wrong side of a boundary.
+    Requires sqrt(eps) * r_max within the series reference domain.
     """
+    if not (eps > 0.0 and math.isfinite(eps)):
+        raise DomainError(f"scattering energy must be positive and finite, got {eps!r}")
+    if not (r_max > 0.0 and math.isfinite(r_max)):
+        raise DomainError(f"matching radius must be positive and finite, got {r_max!r}")
+    if not isinstance(pot, (Free, DeltaShell, FiniteWell)):
+        raise DomainError(f"no scattering setup for potential {pot!r}")
+    if math.sqrt(eps) * r_max > _SERIES_CAP:
+        raise DomainError("matching argument exceeds the series reference domain")
     nu = dim.nu
 
     def v_zero(r: float) -> float:
@@ -458,66 +465,6 @@ def _sweep_once(
     return interior_norm / c_in, c_out / c_in
 
 
-def _printed_rate(dim: Dimension, pot: Potential, eps: float, scales: PhysicalScales) -> float:
-    """The closed-form rate from the source derivation, series-evaluated."""
-    nu = dim.nu
-    k = math.sqrt(eps)
-    if isinstance(pot, Free):
-        return 4.0
-    if isinstance(pot, DeltaShell):
-        g = pot.sign * scales.reduced_coupling(pot.g)
-        x = k * pot.R
-        j0 = _cyl("bessel_j", nu, x)
-        y0 = _cyl("bessel_y", nu, x)
-        front = math.pi * g * pot.R
-        return 16.0 / ((front * j0 * y0) ** 2 + (front * j0 * j0 - 2.0) ** 2)
-    v0 = scales.reduced_potential(pot.V0)
-    x = k * pot.R
-    xt = math.sqrt(eps + v0) * pot.R
-    j0 = _cyl("bessel_j", nu, x)
-    y0 = _cyl("bessel_y", nu, x)
-    j1 = _cyl("bessel_j", nu + 1.0, x)
-    y1 = _cyl("bessel_y", nu + 1.0, x)
-    jt0 = _cyl("bessel_j", nu, xt)
-    jt1 = _cyl("bessel_j", nu + 1.0, xt)
-    ratio = math.sqrt(pot.V0 / scales.physical_energy(eps) + 1.0)
-    d1 = jt0 * j1 - ratio * j0 * jt1
-    d2 = jt0 * y1 - ratio * y0 * jt1
-    return (16.0 / (math.pi * eps * pot.R**2)) / (d1 * d1 + d2 * d2)
-
-
-def fd_scattering(
-    dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales
-) -> ScatteringResult:
-    """Scattering coefficients by outward integration and Hankel matching.
-
-    The regular solution starts from its small-r series, is swept
-    outward with classical Runge-Kutta, and is decomposed at
-    ``r_max`` into in- and outgoing cylinder waves using values and
-    derivatives.  Requires sqrt(eps) * r_max within the series
-    reference domain.
-    """
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise DomainError(f"scattering energy must be positive and finite, got {eps!r}")
-    if not (r_max > 0.0 and math.isfinite(r_max)):
-        raise DomainError(f"matching radius must be positive and finite, got {r_max!r}")
-    if not isinstance(pot, (Free, DeltaShell, FiniteWell)):
-        raise DomainError(f"no scattering setup for potential {pot!r}")
-    if math.sqrt(eps) * r_max > _SERIES_CAP:
-        raise DomainError("matching argument exceeds the series reference domain")
-
-    interior, outgoing = _sweep_once(dim, pot, eps, r_max, scales)
-
-    return ScatteringResult(
-        eps=float(eps),
-        interior_coeff=interior,
-        exterior_out_coeff=outgoing,
-        exterior_reflection=abs(outgoing) ** 2,
-        interior_intensity=abs(interior) ** 2,
-        paper_T=_printed_rate(dim, pot, eps, scales),
-    )
-
-
 # ---------------------------------------------------------------------------
 # shooting, kept as an independent check on the matrix spectra
 
@@ -543,10 +490,6 @@ def _shoot_setup(
 
         local_v = 0.0
         feature = r_max / 2.0
-    elif isinstance(pot, InfiniteWell):
-        v_body = v_zero
-        local_v = 0.0
-        feature = r_max
     elif isinstance(pot, FiniteWell):
         v0 = scales.reduced_potential(pot.V0)
 

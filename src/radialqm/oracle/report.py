@@ -153,41 +153,22 @@ def _finite_well_rows(sc: PhysicalScales) -> List[_Pair]:
 def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
     # matching radii of each row and of its check
     near, far = 2.5, 3.25
+    dim1, dim2 = Dimension(1), Dimension(2)
+    gamma = sc.reduced_coupling(1.5)
+    cases = (
+        ("free_interior_intensity", dim1, Free(), 2.0, 4.0, 1e-8),
+        ("delta_scattering_attractive_n1", dim1, DeltaShell(g=1.5, sign=-1, R=1.0), 5.0,
+         delta_scattering(dim1, -gamma, 1.0, 5.0, sc).interior_intensity, _SCATTERING_TOL),
+        ("delta_scattering_barrier_n1", dim1, DeltaShell(g=1.5, sign=1, R=1.0), 5.0,
+         delta_scattering(dim1, gamma, 1.0, 5.0, sc).interior_intensity, _SCATTERING_TOL),
+        ("finite_well_scattering_n2", dim2, FiniteWell(V0=5.0, R=1.0), 2.0,
+         finite_well_scattering(dim2, 5.0, 1.0, 2.0, sc).interior_intensity, _SCATTERING_TOL),
+    )
     out: List[_Pair] = []
-
-    dim1 = Dimension(1)
-    a = fd_scattering(dim1, Free(), 2.0, near, sc)
-    b = fd_scattering(dim1, Free(), 2.0, far, sc)
-    out.append(_row("free_interior_intensity", 4.0, a.interior_intensity, b.interior_intensity, 1e-8, reduce=1.0))
-
-    for sign, tag in ((-1, "attractive"), (1, "barrier")):
-        pot = DeltaShell(g=1.5, sign=sign, R=1.0)
-        gamma = sign * sc.reduced_coupling(1.5)
-        closed = delta_scattering(dim1, gamma, 1.0, 5.0, sc)
-        fine = fd_scattering(dim1, pot, 5.0, near, sc)
-        chk = fd_scattering(dim1, pot, 5.0, far, sc)
-        out.append(_row(
-            f"delta_scattering_{tag}_n1",
-            closed.interior_intensity,
-            fine.interior_intensity,
-            chk.interior_intensity,
-            _SCATTERING_TOL,
-            reduce=1.0,
-        ))
-
-    dim2 = Dimension(2)
-    pot = FiniteWell(V0=5.0, R=1.0)
-    closed = finite_well_scattering(dim2, 5.0, 1.0, 2.0, sc)
-    fine = fd_scattering(dim2, pot, 2.0, near, sc)
-    chk = fd_scattering(dim2, pot, 2.0, far, sc)
-    out.append(_row(
-        "finite_well_scattering_n2",
-        closed.interior_intensity,
-        fine.interior_intensity,
-        chk.interior_intensity,
-        _SCATTERING_TOL,
-        reduce=1.0,
-    ))
+    for rid, dim, pot, eps, closed, budget in cases:
+        fine, _ = fd_scattering(dim, pot, eps, near, sc)
+        chk, _ = fd_scattering(dim, pot, eps, far, sc)
+        out.append(_row(rid, closed, abs(fine) ** 2, abs(chk) ** 2, budget, reduce=1.0))
     return out
 
 
@@ -282,7 +263,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
     """Every printed-formula mismatch, with freshly computed evidence.
 
     rows holds the report's comparison rows by id; an entry that cites the
-    oracle copies the swept values from them.
+    oracle copies the swept or discretized values from them.
     """
     entries: List[Dict] = []
     dim1 = Dimension(1)
@@ -309,7 +290,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
         }
     )
 
-    fdosc = fd_bound_spectrum(dim2, Harmonic(omega=1.0), Grid(9.0, 4000), 2, sc)
+    fdosc = [sc.physical_energy(rows[f"oscillator_n2_N{k}"].oracle) for k in (0, 1)]
     entries.append(
         {
             "id": "oscillator_ladder_symbol",
@@ -319,7 +300,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
             "evidence": {
                 "n": 2,
                 "implemented_E": [1.5, 3.5],
-                "fd_oracle_E": [fdosc[0].E, fdosc[1].E],
+                "fd_oracle_E": fdosc,
             },
             "resolution": "the symbol is read as the angular dimension; the "
             "finite-difference eigenvalues confirm the (n+1)/2 offset",

@@ -78,14 +78,14 @@ def finite_well_bound_spectrum(
     t_hi = Q * _EDGE
     grid = uniform_grid(t_hi * 1e-6, t_hi, 0.25 * math.pi)
     # a zero where both terms underflow (high order, small t) is no root
-    found = [root for root in scan_roots(residual, grid) if local_scale(root[0]) > 0.0]
+    scaled = [(root, local_scale(root[0])) for root in scan_roots(residual, grid)]
+    found = [(root, scale) for root, scale in scaled if scale > 0.0]
     out: List[Tuple[EnergyLevel, TranscendentalRoot]] = []
-    for N, (t, res, (ta, tb)) in enumerate(found, start=1):
+    for N, ((t, res, (ta, tb)), scale) in enumerate(found, start=1):
         eps_mag = (Q * Q - t * t) / (R * R)
         if not eps_mag > 0.0:
             continue
-        scale = local_scale(t)
-        rel_res = res / scale if scale > 0.0 else res
+        rel_res = res / scale
         bracket = tuple(
             sorted(((Q * Q - ta * ta) / (R * R), (Q * Q - tb * tb) / (R * R)))
         )

@@ -74,21 +74,21 @@ def test_level_count_validation(scales):
 
 @pytest.mark.parametrize("n", range(4))
 def test_free_sweep_recovers_intensity_four(n, scales):
-    got = fd_scattering(Dimension(n), Free(), 2.0, 2.5, scales)
-    assert abs(got.interior_intensity - 4.0) < 1e-8
-    assert abs(got.exterior_reflection - 1.0) < 1e-8
+    interior, outgoing = fd_scattering(Dimension(n), Free(), 2.0, 2.5, scales)
+    assert abs(abs(interior) ** 2 - 4.0) < 1e-8
+    assert abs(abs(outgoing) ** 2 - 1.0) < 1e-8
 
 
 def test_sweep_matches_shell_solver(scales):
     closed = delta_scattering(Dimension(1), 1.5, 1.0, 5.0, scales)
-    swept = fd_scattering(Dimension(1), DeltaShell(0.75, 1, 1.0), 5.0, 2.5, scales)
-    assert abs(closed.interior_intensity - swept.interior_intensity) < 1e-6
+    interior, _ = fd_scattering(Dimension(1), DeltaShell(0.75, 1, 1.0), 5.0, 2.5, scales)
+    assert abs(closed.interior_intensity - abs(interior) ** 2) < 1e-6
 
 
 def test_sweep_matches_well_solver(scales):
     closed = finite_well_scattering(Dimension(2), 5.0, 1.0, 2.0, scales)
-    swept = fd_scattering(Dimension(2), FiniteWell(5.0, 1.0), 2.0, 2.5, scales)
-    assert abs(closed.interior_intensity - swept.interior_intensity) < 1e-6
+    interior, _ = fd_scattering(Dimension(2), FiniteWell(5.0, 1.0), 2.0, 2.5, scales)
+    assert abs(closed.interior_intensity - abs(interior) ** 2) < 1e-6
 
 
 def test_sweep_error_paths(scales):
@@ -123,6 +123,8 @@ def test_shooting_validation(scales):
         shooting_bound_levels(Dimension(1), Harmonic(1.0), -1.0, 0.5, 7.5, scales)
     with pytest.raises(DomainError):
         shooting_bound_levels(Dimension(1), Harmonic(1.0), 7.0, 7.5, 0.5, scales)
+    with pytest.raises(DomainError, match="shooting check not defined"):
+        shooting_bound_levels(Dimension(1), InfiniteWell(1.0), 1.0, 5.0, 50.0, scales)
 
 
 def _lane_steps(segments):

@@ -113,6 +113,15 @@ def test_sign_claim_cites_the_swept_rows(report):
     assert abs(well - barrier) > 1.0
 
 
+def test_ladder_entry_reads_the_oscillator_rows(report):
+    sc = PhysicalScales()
+    rows = {row["id"]: row for row in report["rows"]}
+    entry = next(d for d in report["discrepancies"] if d["id"] == "oscillator_ladder_symbol")
+    assert entry["evidence"]["fd_oracle_E"] == [
+        sc.physical_energy(rows[f"oscillator_n2_N{k}"]["oracle"]) for k in (0, 1)
+    ]
+
+
 def test_report_module_guards_against_mutation(default_rows):
     with pytest.raises(dataclasses.FrozenInstanceError):
         default_rows[0].rel_diff = 0.0
@@ -130,4 +139,4 @@ def test_a_second_report_repeats_the_bytes_and_the_series_work(report, monkeypat
     monkeypatch.setattr(fd, "series_reference", counted)
     monkeypatch.setattr(report_module, "series_reference", counted)
     assert json.dumps(validation_report()) == json.dumps(report)
-    assert len(calls) == len(set(calls)) == 46
+    assert len(calls) == len(set(calls)) == 38
