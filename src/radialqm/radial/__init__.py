@@ -14,7 +14,7 @@ from .model import (
     reduce,
     whittaker_form_constant,
 )
-from .norms import energy_functional, norm_integral, normalize
+from .norms import norm_integral, normalize
 from .quadrature import integrate
 from .wavefunction import (
     ALL_TAGS,
@@ -50,6 +50,5 @@ __all__ = [
     "GAUSS_HERMITE",
     "norm_integral",
     "normalize",
-    "energy_functional",
     "integrate",
 ]

@@ -1,26 +1,31 @@
-"""r^n-weighted normalization and energy integrals.
+"""r^n-weighted mode norms: closed forms for normalize, quadrature for norm_integral.
 
-The probability measure is dtau = r^n dr.  Every admissible piece
-family decays in a way that admits a certified analytic tail bound, so
-integrals to infinity are truncated where the bound drops below a small
-fraction of the requested tolerance.
+The probability measure is dtau = r^n dr.  normalize takes each piece's
+mass in closed form: Lommel's integrals (DLMF 10.22(i), 10.43(i)) for
+the cylinder tags, the weighted orthogonality of the Laguerre and
+Hermite polynomials (DLMF 18.3) for the Gauss tags.  norm_integral is
+the independent check: adaptive quadrature, truncated to infinity where
+a certified analytic tail bound drops below a small fraction of the
+requested tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+import sys
 
 from ..errors import (
     ComputationError,
     DivergenceError,
+    DomainError,
     NonNormalizableError,
     OriginDivergenceError,
 )
 from ..specfun import bessel_k
-from .model import DeltaShell, FiniteWell, Free, Harmonic, InfiniteWell, PhysicalScales, Potential
+from .model import Dimension
 from .quadrature import integrate
 from .wavefunction import (
+    _CYLINDER,
     BESSEL_I,
     BESSEL_J,
     BESSEL_K,
@@ -32,8 +37,6 @@ from .wavefunction import (
 
 # Fraction of the tolerance granted to the truncated analytic tail.
 _TAIL_FRACTION = 1e-3
-# Relative accuracy of the norm constant of every normalized mode.
-_NORM_TOL = 1e-10
 
 
 def _abs_coeff_sum_hermite(N: int) -> float:
@@ -63,7 +66,7 @@ def _abs_coeff_sum_laguerre(N: int, alpha: float) -> float:
     return total
 
 
-def _certified_t0(p: float, amp: float, t_start: float, budget: float) -> tuple[float, float]:
+def _certified_t0(p: float, amp: float, t_start: float, budget: float) -> float:
     """Smallest convenient t0 with amp * int_{t0}^inf t^p e^-t dt <= budget.
 
     Uses int_{t0}^inf t^p e^-t dt <= 2 t0^p e^-t0 once t0 >= 2p, which
@@ -78,72 +81,40 @@ def _certified_t0(p: float, amp: float, t_start: float, budget: float) -> tuple[
             log_bound = math.log(2.0 * amp) + p * math.log(t0) - t0
             bound = math.exp(log_bound) if log_bound <= math.log(budget) else math.inf
         if bound <= budget:
-            return t0, bound
+            return t0
         t0 *= 1.2
     raise ComputationError("could not certify a Gaussian tail truncation radius")
 
 
-def _gauss_tail(piece: Piece, n: int, norm_constant: float, budget: float,
-                kin_scale: Optional[float], harmonic_v_coeff: float) -> tuple[float, float]:
-    """Truncation radius and certified tail bound for a Gauss-family piece.
-
-    With kin_scale None the integrand is the norm density r^n |Psi|^2;
-    otherwise it is the energy density, whose polynomial envelope is one
-    power of t = mu r^2 wider for the derivative and, when
-    harmonic_v_coeff = (1/2) m omega^2 is nonzero, for the potential.
-    """
+def _gauss_tail(piece: Piece, n: int, norm_constant: float, budget: float) -> float:
+    """Radius past which the norm density of a Gauss piece integrates to at most budget."""
     mu = piece.scale
     amp_front = (norm_constant * abs(piece.coeff)) ** 2 / (2.0 * mu ** (0.5 * (n + 1)))
     if piece.tag == GAUSS_LAGUERRE:
         poly = _abs_coeff_sum_laguerre(piece.degree, piece.alpha)
-        slope = 2.0 * _abs_coeff_sum_laguerre(piece.degree - 1, piece.alpha + 1.0) + poly \
-            if piece.degree > 0 else poly
         deg_t = piece.degree
     else:
         poly = _abs_coeff_sum_hermite(piece.degree)
-        slope = (2.0 * piece.degree * _abs_coeff_sum_hermite(piece.degree - 1) + poly
-                 if piece.degree > 0 else poly)
         deg_t = 0.5 * piece.degree
     p_norm = 0.5 * (n - 1) + 2.0 * deg_t
-    t_start = mu * piece.r_lo**2
-    if kin_scale is None:
-        t0, bound = _certified_t0(p_norm, amp_front * poly * poly, t_start, budget)
-        return math.sqrt(t0 / mu), bound
-    # |Psi'|^2 <= mu * slope^2 * t^(2 deg_t + 1) e^-t  (both families).
-    amp_kin = kin_scale * amp_front * mu * slope * slope
-    amp_pot = harmonic_v_coeff / mu * amp_front * poly * poly
-    p_energy = p_norm + 1.0
-    half_budget = 0.5 * budget
-    t0a, b1 = _certified_t0(p_energy, amp_kin, t_start, half_budget)
-    t0b, b2 = _certified_t0(p_energy, amp_pot, t_start, half_budget) if amp_pot > 0.0 else (1.0, 0.0)
-    t0 = max(t0a, t0b)
-    return math.sqrt(t0 / mu), b1 + b2
+    t0 = _certified_t0(p_norm, amp_front * poly * poly, mu * piece.r_lo**2, budget)
+    return math.sqrt(t0 / mu)
 
 
-def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float,
-            kin_scale: Optional[float]) -> tuple[float, float]:
-    """Truncation radius for a decaying BesselK piece.
+def _k_tail(piece: Piece, nu: float, norm_constant: float, budget: float) -> float:
+    """Radius past which the norm density of a BesselK piece integrates to at most budget.
 
     K_nu(x) e^x decreases in x, so past r0 the norm density r |c K_nu|^2
-    sits under r K_nu(kappa r0)^2 e^(-2 kappa (r - r0)); the energy
-    density does the same with order nu+1 and a kappa^2 factor.
+    sits under r K_nu(kappa r0)^2 e^(-2 kappa (r - r0)).
     """
     kappa = piece.scale
-    try:
-        front = (norm_constant * abs(piece.coeff)) ** 2
-    except OverflowError:
-        raise ComputationError("tail bound of a decaying piece exceeds the double range") from None
-    if kin_scale is not None:
-        front *= kin_scale * kappa * kappa
-        order = nu + 1.0
-    else:
-        order = max(nu, -nu)
+    amp = norm_constant * abs(piece.coeff)
     r0 = piece.r_lo + 1.0 / kappa
     for _ in range(600):
-        k_val = bessel_k(order, kappa * r0).value
-        bound = front * k_val * k_val * (r0 / (2.0 * kappa) + 1.0 / (4.0 * kappa * kappa))
+        k_val = bessel_k(max(nu, -nu), kappa * r0).value
+        bound = (amp * k_val) ** 2 * (r0 / (2.0 * kappa) + 1.0 / (4.0 * kappa * kappa))
         if bound <= budget:
-            return r0, bound
+            return r0
         r0 *= 1.25
     raise ComputationError("could not certify an exponential tail truncation radius")
 
@@ -157,12 +128,21 @@ def _check_origin(psi: RadialWaveFunction) -> None:
             )
 
 
-def _segments(psi: RadialWaveFunction, r_max: float, budget_tail: float,
-              kin_scale: Optional[float] = None,
-              harmonic_v_coeff: float = 0.0) -> tuple[list[tuple[float, float]], float]:
+def _check_decays(tag: str) -> None:
+    """Typed error for a form that cannot extend to infinity."""
+    if tag == BESSEL_J:
+        raise NonNormalizableError(
+            "oscillatory piece extends to infinity; the mode is not square-integrable"
+        )
+    if tag == BESSEL_I:
+        raise DivergenceError(
+            "exponentially growing piece extends to infinity; integral diverges"
+        )
+
+
+def _segments(psi: RadialWaveFunction, r_max: float, budget_tail: float) -> list[tuple[float, float]]:
     """Finite integration segments covering the support up to r_max."""
     segments: list[tuple[float, float]] = []
-    tail_total = 0.0
     for piece in psi.pieces:
         lo = piece.r_lo
         if lo >= r_max:
@@ -173,28 +153,18 @@ def _segments(psi: RadialWaveFunction, r_max: float, budget_tail: float,
         if math.isinf(r_max):
             # a zero coefficient decays like anything: bound it as a K tail
             tag = piece.tag if piece.coeff != 0.0 else BESSEL_K
-            if tag == BESSEL_J:
-                raise NonNormalizableError(
-                    "oscillatory piece extends to infinity; the mode is not square-integrable"
-                )
-            if tag == BESSEL_I:
-                raise DivergenceError(
-                    "exponentially growing piece extends to infinity; integral diverges"
-                )
+            _check_decays(tag)
             if tag in GAUSS_TAGS:
-                cut, bound = _gauss_tail(piece, psi.dimension.n, psi.norm_constant,
-                                         budget_tail, kin_scale, harmonic_v_coeff)
+                cut = _gauss_tail(piece, psi.dimension.n, psi.norm_constant, budget_tail)
             else:
-                cut, bound = _k_tail(piece, psi.dimension.nu, psi.norm_constant,
-                                     budget_tail, kin_scale)
+                cut = _k_tail(piece, psi.dimension.nu, psi.norm_constant, budget_tail)
             if cut > lo:
                 segments.append((lo, cut))
-            tail_total += bound
         else:
             segments.append((lo, r_max))
     if not segments:
         raise ComputationError(f"no support below r_max = {r_max!r}")
-    return segments, tail_total
+    return segments
 
 
 def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
@@ -202,13 +172,13 @@ def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
     if not tol > 0.0:
         raise ComputationError(f"tolerance must be positive, got {tol!r}")
     _check_origin(psi)
-    n = psi.dimension.n
+    half_n = 0.5 * psi.dimension.n
 
     def integrand(r: float) -> float:
-        value = psi.sample(r)
-        return r**n * (value * value)
+        # r^(n/2) |Psi| stays in range where r^n and |Psi|^2 alone do not
+        return (r**half_n * psi.sample(r)) ** 2
 
-    segments, _ = _segments(psi, r_max, budget_tail=tol * _TAIL_FRACTION)
+    segments = _segments(psi, r_max, budget_tail=tol * _TAIL_FRACTION)
     per_segment_tol = tol * (1.0 - _TAIL_FRACTION) / len(segments)
     total = 0.0
     for lo, hi in segments:
@@ -217,74 +187,77 @@ def norm_integral(psi: RadialWaveFunction, r_max: float, tol: float) -> float:
     return total
 
 
-def normalize(psi: RadialWaveFunction) -> RadialWaveFunction:
-    """Copy of psi scaled so the r^n-weighted norm equals 1 within _NORM_TOL."""
-    value = norm_integral(psi, math.inf, 1.0)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ComputationError(f"norm integral came out {value!r}; cannot normalize")
-    # The final scale must carry relative error below _NORM_TOL, so
-    # re-integrate with the absolute target implied by the coarse magnitude.
-    target = 0.5 * _NORM_TOL * value
-    if target < 1.0:
-        value = norm_integral(psi, math.inf, target)
-    return psi.with_norm_constant(psi.norm_constant / math.sqrt(value))
+def lommel_primitive(tag: str, nu: float, r: float, x: float, v0: float, v1: float) -> float:
+    """Antiderivative at r of t c^2 Z_nu(k t)^2 for a cylinder tag.
 
-
-def _potential_value(pot: Optional[Potential], scales: PhysicalScales, r: float) -> float:
-    if pot is None or isinstance(pot, (Free, InfiniteWell, DeltaShell)):
-        return 0.0
-    if isinstance(pot, Harmonic):
-        return 0.5 * scales.mass * pot.omega**2 * r * r
-    if isinstance(pot, FiniteWell):
-        return -pot.V0 if r < pot.R else 0.0
-    raise ComputationError(f"unsupported potential {pot!r}")
-
-
-def energy_functional(
-    psi: RadialWaveFunction,
-    scales: PhysicalScales,
-    potential: Optional[Potential] = None,
-) -> float:
-    """Expectation value of the energy for a normalized wave-function.
-
-    Integrates r^n [ (hbar^2/2m) |Psi'|^2 + V(r) |Psi|^2 ] dr to absolute
-    tolerance _NORM_TOL, adding the shell term sign * g * R^n |Psi(R)|^2
-    for a delta potential.  Raises the divergence family for modes whose
-    kinetic integral does not exist.
+    v0 = c Z_nu(x) and v1 = c Z_(nu+1)(x) at x = k r.  The primitive
+    vanishes at r = 0 for the regular forms and as r -> inf for K.
     """
+    s1, s2 = _CYLINDER[tag][1]
+    return 0.5 * r * r * (v0 * v0 + s1 * (v1 * v1) + s2 * (2.0 * nu * v0 * v1 / x))
+
+
+def _cylinder_mass(piece: Piece, nu: float, amp: float) -> float:
+    """Weighted mass of amp r^(-nu) Z_nu(k r) over the piece: int r (amp Z_nu)^2 dr."""
+    if piece.is_unbounded:
+        _check_decays(piece.tag)
+    kernel = _CYLINDER[piece.tag][0]
+
+    def primitive(r: float) -> float:
+        if r == 0.0 or math.isinf(r):
+            return 0.0
+        x = piece.scale * r
+        # amp enters before squaring: the coefficient alone may square past the range
+        v0 = amp * kernel(nu, x).value
+        v1 = amp * kernel(nu + 1.0, x).value
+        return lommel_primitive(piece.tag, nu, r, x, v0, v1)
+
+    return primitive(piece.r_hi) - primitive(piece.r_lo)
+
+
+def _gauss_root_mass(piece: Piece, dim: Dimension) -> float:
+    """Square root of the weighted mass of the unit-coefficient Gauss form on [0, inf)."""
+    if piece.r_lo != 0.0 or not piece.is_unbounded:
+        raise DomainError("a Gauss form has a closed-form norm only on [0, inf)")
+    N, mu, nu = piece.degree, piece.scale, dim.nu
+    if piece.tag == GAUSS_LAGUERRE:
+        if piece.alpha != nu:
+            raise DomainError(f"a Laguerre form needs alpha = nu = {nu}, got {piece.alpha!r}")
+        # Gamma(N + nu + 1) / (2 mu^(nu + 1) N!)
+        direct = lambda: math.gamma(N + nu + 1.0) / math.factorial(N) / (2.0 * mu ** (nu + 1.0))
+        log_mass = (math.lgamma(N + nu + 1.0) - math.lgamma(N + 1.0) - math.log(2.0)
+                    - (nu + 1.0) * math.log(mu))
+    else:
+        if dim.n != 0:
+            raise DomainError(f"a Hermite form is the n = 0 mode, got n = {dim.n}")
+        # sqrt(pi) 2^N N! / (2 sqrt(mu))
+        direct = lambda: math.sqrt(math.pi) * math.ldexp(math.factorial(N), N - 1) / math.sqrt(mu)
+        log_mass = (0.5 * math.log(math.pi) + (N - 1) * math.log(2.0) + math.lgamma(N + 1.0)
+                    - 0.5 * math.log(mu))
+    try:
+        mass = direct() if N <= 170 else 0.0
+    except (OverflowError, ZeroDivisionError):
+        mass = 0.0
+    if sys.float_info.min <= mass < math.inf:
+        return math.sqrt(mass)
+    # past the double range the constant is kept in logs
+    return math.exp(0.5 * log_mass)
+
+
+def normalize(psi: RadialWaveFunction) -> RadialWaveFunction:
+    """Copy of psi scaled so its r^n-weighted mass is 1, from the closed forms."""
     _check_origin(psi)
-    n = psi.dimension.n
-    kin_scale = scales.hbar**2 / (2.0 * scales.mass)
-    harmonic_v_coeff = (0.5 * scales.mass * potential.omega**2
-                       if isinstance(potential, Harmonic) else 0.0)
-
-    def integrand(r: float) -> float:
-        slope = psi.derivative(r)
-        total = kin_scale * (slope * slope)
-        v = _potential_value(potential, scales, r)
-        if v != 0.0:
-            value = psi.sample(r)
-            total += v * (value * value)
-        return r**n * total
-
-    segments, _ = _segments(psi, math.inf, budget_tail=_NORM_TOL * _TAIL_FRACTION,
-                            kin_scale=kin_scale, harmonic_v_coeff=harmonic_v_coeff)
-    # Keep potential steps on segment boundaries, not inside panels.
-    if isinstance(potential, FiniteWell):
-        refined = []
-        for lo, hi in segments:
-            if lo < potential.R < hi:
-                refined.append((lo, potential.R))
-                refined.append((potential.R, hi))
-            else:
-                refined.append((lo, hi))
-        segments = refined
-    per_segment_tol = _NORM_TOL * (1.0 - _TAIL_FRACTION) / len(segments)
-    total = 0.0
-    for lo, hi in segments:
-        value, _ = integrate(integrand, lo, hi, per_segment_tol)
-        total += value
-    if isinstance(potential, DeltaShell):
-        value = psi.sample(potential.R)
-        total += potential.sign * potential.g * potential.R**n * (value * value)
-    return total
+    nc = psi.norm_constant
+    gauss = [piece for piece in psi.pieces if piece.tag in GAUSS_TAGS]
+    if gauss:
+        # a Gauss piece spans [0, inf), so it is the mode's only piece
+        root_mass = nc * abs(gauss[0].coeff) * _gauss_root_mass(gauss[0], psi.dimension)
+    else:
+        nu = psi.dimension.nu
+        mass = math.fsum(_cylinder_mass(piece, nu, nc * piece.coeff)
+                         for piece in psi.pieces if piece.coeff != 0.0)
+        root_mass = math.sqrt(mass) if mass > 0.0 else mass
+    constant = nc / root_mass if root_mass > 0.0 else math.nan
+    if not (constant > 0.0 and math.isfinite(constant)):
+        raise ComputationError(f"mode norm came out {root_mass!r}; cannot normalize")
+    return psi.with_norm_constant(constant)

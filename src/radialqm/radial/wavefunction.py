@@ -6,8 +6,8 @@ the modified tags (BesselI, BesselK) denote amplitude
 r^(-nu) * Z_nu(scale * r); the Gauss tags denote the oscillator families
 exp(-scale*r^2/2) * L_N^(alpha)(scale*r^2) and
 exp(-scale*r^2/2) * H_N(sqrt(scale)*r).  Tags keep solutions
-introspectable: normalization chooses its tail bound by tag instead of
-probing opaque callables.
+introspectable: normalization takes each piece's weighted mass in closed
+form by tag instead of integrating opaque callables.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from ..specfun import (
     bessel_k,
     gamma_fn,
     hermite,
-    hermite_derivative,
     laguerre,
-    laguerre_derivative,
 )
 from .model import Dimension, EnergyLevel
 
@@ -37,12 +35,13 @@ GAUSS_HERMITE = "GaussHermite"
 
 ALL_TAGS = (BESSEL_J, BESSEL_I, BESSEL_K, GAUSS_LAGUERRE, GAUSS_HERMITE)
 
-# Cylinder tags: kernel, and the sign in d/dr [r^(-nu) Z_nu(k r)] = +-k r^(-nu) Z_(nu+1)(k r).
+# Cylinder tags: kernel, and the signs (s1, s2) of Lommel's primitive
+# int r Z_nu(k r)^2 dr = (r^2/2) (Z_nu^2 + s1 Z_(nu+1)^2 + s2 (2 nu/x) Z_nu Z_(nu+1)), x = k r.
 # The kernels are looked up at call time, so a wrapper patched onto this module sees every call.
 _CYLINDER = {
-    BESSEL_J: (lambda nu, x: bessel_j(nu, x), -1.0),
-    BESSEL_I: (lambda nu, x: bessel_i(nu, x), 1.0),
-    BESSEL_K: (lambda nu, x: bessel_k(nu, x), -1.0),
+    BESSEL_J: (lambda nu, x: bessel_j(nu, x), (1.0, -1.0)),
+    BESSEL_I: (lambda nu, x: bessel_i(nu, x), (-1.0, -1.0)),
+    BESSEL_K: (lambda nu, x: bessel_k(nu, x), (-1.0, 1.0)),
 }
 # Forms that blow up as r -> 0.
 IRREGULAR_TAGS = frozenset({BESSEL_K})
@@ -57,11 +56,6 @@ def _radial_power(r: float, nu: float) -> float:
         raise ComputationError(
             f"r^(-nu) leaves the double range at r = {r:.3g}, order {nu}"
         ) from None
-
-
-def _require_regular(tag: str) -> None:
-    if tag in IRREGULAR_TAGS:
-        raise OriginDivergenceError(f"form {tag} is singular at the origin")
 
 
 @dataclass(frozen=True)
@@ -111,39 +105,16 @@ class Piece:
             return envelope * hermite(self.degree, math.sqrt(mu) * r)
         if r == 0.0:
             # the limit of r^(-nu) Z_nu(k r), finite for the regular forms
-            _require_regular(self.tag)
+            if self.tag in IRREGULAR_TAGS:
+                raise OriginDivergenceError(f"form {self.tag} is singular at the origin")
             return (0.5 * self.scale) ** nu / gamma_fn(nu + 1.0).value
         kernel, _ = _CYLINDER[self.tag]
         return _radial_power(r, nu) * kernel(nu, self.scale * r).value
-
-    def _form_derivative(self, nu: float, r: float) -> float:
-        if self.tag in GAUSS_TAGS:
-            mu = self.scale
-            envelope = math.exp(-0.5 * mu * r * r)
-            if self.tag == GAUSS_LAGUERRE:
-                z = mu * r * r
-                poly = laguerre(self.degree, self.alpha, z)
-                slope = laguerre_derivative(self.degree, self.alpha, z)
-                return envelope * mu * r * (2.0 * slope - poly)
-            root = math.sqrt(mu)
-            poly = hermite(self.degree, root * r)
-            slope = hermite_derivative(self.degree, root * r)
-            return envelope * (root * slope - mu * r * poly)
-        if r == 0.0:
-            # r^(-nu) Z_(nu+1)(k r) ~ r -> 0 for every nu >= -1/2
-            _require_regular(self.tag)
-            return 0.0
-        k = self.scale
-        kernel, sign = _CYLINDER[self.tag]
-        return sign * k * _radial_power(r, nu) * kernel(nu + 1.0, k * r).value
 
     # A zero coefficient never evaluates its form (0 * inf is nan), and
     # 0.0 + turns a -0.0 product into +0.0.
     def amplitude(self, nu: float, r: float) -> float:
         return 0.0 if self.coeff == 0.0 else 0.0 + self.coeff * self._form_value(nu, r)
-
-    def amplitude_derivative(self, nu: float, r: float) -> float:
-        return 0.0 if self.coeff == 0.0 else 0.0 + self.coeff * self._form_derivative(nu, r)
 
 
 @dataclass(frozen=True)
@@ -188,13 +159,6 @@ class RadialWaveFunction:
         if idx < 0:
             return 0.0
         value = self.pieces[idx].amplitude(self.dimension.nu, r)
-        return self.norm_constant * value
-
-    def derivative(self, r: float) -> float:
-        idx = self.piece_index_at(r)
-        if idx < 0:
-            return 0.0
-        value = self.pieces[idx].amplitude_derivative(self.dimension.nu, r)
         return self.norm_constant * value
 
     def with_norm_constant(self, constant: float) -> "RadialWaveFunction":

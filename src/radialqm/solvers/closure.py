@@ -14,7 +14,8 @@ import math
 from typing import Tuple
 
 from ..errors import require_positive
-from ..radial import Dimension
+from ..radial import BESSEL_J, Dimension
+from ..radial.norms import lommel_primitive
 from ..radial.quadrature import integrate
 from ..specfun.bessel_jy import bessel_j
 from .results import ClosureProbe
@@ -34,9 +35,7 @@ def _overlap(nu: float, a: float, k1: float, ja: Tuple[float, float], k2: float)
     mean = 0.5 * (k1 + k2)
     if abs(k1 - k2) <= _DIAGONAL_CUT * mean:
         x = mean * a
-        j0, j1 = _j_pair(nu, x)
-        # diagonal form with the nu-1 order removed via the recurrence
-        return 0.5 * a * a * (j0 * j0 + j1 * j1 - 2.0 * nu * j0 * j1 / x)
+        return lommel_primitive(BESSEL_J, nu, a, x, *_j_pair(nu, x))
     ja0, ja1 = ja
     jb0, jb1 = _j_pair(nu, k2 * a)
     return a * (k1 * ja1 * jb0 - k2 * ja0 * jb1) / (k1 * k1 - k2 * k2)

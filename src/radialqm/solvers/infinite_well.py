@@ -2,13 +2,11 @@
 
 The regular interior solution vanishes on the wall when the scaled
 wavenumber sits on a first-kind cylinder zero, so the spectrum is the
-zero table squared and the norm constant follows from the closed-form
-weighted integral of the squared mode, which collapses to the square of
-the next-order function at the zero.
+zero table squared.  The mode normalizes through Lommel's closed-form
+weighted integral, which at the zero collapses to (R^2/2) J_(nu+1)(z)^2.
 """
 from __future__ import annotations
 
-import math
 from typing import List
 
 from ..errors import require_count, require_positive
@@ -20,7 +18,8 @@ from ..radial import (
     Piece,
     RadialWaveFunction,
 )
-from ..specfun import bessel_j, bessel_j_zero, bessel_j_zeros
+from ..radial.norms import normalize
+from ..specfun import bessel_j_zero, bessel_j_zeros
 
 
 def infinite_well_spectrum(
@@ -38,10 +37,7 @@ def infinite_well_wavefunction(
     """Normalized N-th mode, zero at the wall and beyond."""
     R = require_positive("well radius", R)
     N = require_count("mode index", N, 1)
-    z = bessel_j_zero(dim.nu, N)
-    k = z / R
-    # weighted square integrates to (R^2/2) J_{nu+1}(z)^2 for unit amplitude
-    c = math.sqrt(2.0) / (R * abs(bessel_j(dim.nu + 1.0, z).value))
-    piece = Piece(0.0, R, BESSEL_J, c, scale=k)
+    k = bessel_j_zero(dim.nu, N) / R
+    piece = Piece(0.0, R, BESSEL_J, 1.0, scale=k)
     level = EnergyLevel.bound(N, k * k, scales)
-    return RadialWaveFunction(dim, level, (piece,))
+    return normalize(RadialWaveFunction(dim, level, (piece,)))

@@ -8,14 +8,7 @@ zero finder, whose recurrences are exact enough to return plain floats.
 from .bessel_ik import bessel_i, bessel_k
 from .bessel_jy import bessel_j, bessel_y
 from .gammafn import gamma_fn
-from .hyper import (
-    hermite,
-    hermite_derivative,
-    kummer_m,
-    kummer_u,
-    laguerre,
-    laguerre_derivative,
-)
+from .hyper import hermite, kummer_m, kummer_u, laguerre
 from .result import EvalResult
 from .zeros import bessel_j_zero, bessel_j_zeros
 
@@ -32,6 +25,4 @@ __all__ = [
     "kummer_u",
     "hermite",
     "laguerre",
-    "hermite_derivative",
-    "laguerre_derivative",
 ]

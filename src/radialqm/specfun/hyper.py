@@ -135,19 +135,3 @@ def laguerre(N: int, alpha: float, z: float) -> float:
             ((2.0 * k + 1.0 + alpha - z) * l_cur - (k + alpha) * l_prev) / (k + 1.0),
         )
     return l_cur
-
-
-def laguerre_derivative(N: int, alpha: float, z: float) -> float:
-    """d/dz L_N^{(alpha)}(z) = -L_{N-1}^{(alpha+1)}(z)."""
-    N = require_count("laguerre index", N, 0)
-    if N == 0:
-        return 0.0
-    return -laguerre(N - 1, alpha + 1.0, z)
-
-
-def hermite_derivative(N: int, z: float) -> float:
-    """d/dz H_N(z) = 2N H_{N-1}(z)."""
-    N = require_count("hermite index", N, 0)
-    if N == 0:
-        return 0.0
-    return 2.0 * N * hermite(N - 1, z)

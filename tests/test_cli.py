@@ -168,12 +168,30 @@ def test_shell_level_below_the_double_range_exits_3():
     assert "double range" in json.loads(err)["error"]["message"]
 
 
-def test_strongly_bound_shell_mode_exits_3():
-    # the squared front factor of the K-tail bound overflows here
-    code, out, err = run_cli(["wavefunction", "--problem", "delta-shell", "--n", "25",
-                              "--radius", "0.900246", "--gamma", "928.375"])
-    assert code == 3 and out == ""
-    assert "double range" in json.loads(err)["error"]["message"]
+@pytest.mark.parametrize("n, radius, gamma", [(25, "0.900246", "928.375"), (1, "1", "900")])
+def test_strongly_bound_shell_mode_matches_mpmath(n, radius, gamma):
+    # the squared interface coefficient (about 1e193 at gamma = 900) leaves the double range
+    code, out, err = run_cli(["wavefunction", "--problem", "delta-shell", "--n", str(n),
+                              "--radius", radius, "--gamma", gamma, "--samples", "40",
+                              "--format", "json"])
+    assert code == 0, err
+    rows = json.loads(out)["rows"]
+    with mpmath.workdps(30):
+        nu, R, g = mpmath.mpf(n - 1) / 2, mpmath.mpf(radius), mpmath.mpf(gamma)
+        x = mpmath.findroot(lambda t: mpmath.besseli(nu, t) * mpmath.besselk(nu, t) - 1 / (g * R),
+                            g * R / 2)
+        kappa, a, b = x / R, mpmath.besselk(nu, x), mpmath.besseli(nu, x)
+
+        def form(r):
+            inner = a * mpmath.besseli(nu, kappa * r) if r < R else b * mpmath.besselk(nu, kappa * r)
+            return inner * r ** -nu
+
+        width = 1 / kappa
+        mass = (mpmath.quad(lambda r: r**n * form(r) ** 2, [0, R - 20 * width, R - 4 * width, R])
+                + mpmath.quad(lambda r: r**n * form(r) ** 2, [R, R + 4 * width, R + 40 * width]))
+        want = [float(form(mpmath.mpf(row["r"])) / mpmath.sqrt(mass)) for row in rows]
+    scale = max(abs(w) for w in want)
+    assert max(abs(row["psi"] - w) for row, w in zip(rows, want)) <= 1e-10 * scale
 
 
 def test_import_leaves_the_oracle_unloaded():
@@ -207,8 +225,7 @@ def test_console_script_smoke():
 
 @pytest.mark.parametrize("n, omega, level", [(0, 1.0, 14), (25, 0.5, 3)])
 def test_oscillator_modes_of_large_unnormalized_mass(n, omega, level):
-    # the unnormalized mass is 1.3e15 at n = 0, level 14; normalization
-    # must not ask the quadrature for accuracy below rounding
+    # the unnormalized mass is 1.3e15 at n = 0, level 14
     code, out, err = run_cli(["wavefunction", "--problem", "harmonic", "--n", str(n),
                               "--omega", str(omega), "--level", str(level), "--format", "json"])
     assert code == 0, err

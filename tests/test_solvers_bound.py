@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from radialqm.errors import ComputationError, DomainError
@@ -150,9 +151,25 @@ def test_high_order_underflow_is_no_level(scales):
     assert finite_well_bound_spectrum(Dimension(300), 5000.0, 1.0, scales) == []
     with pytest.raises(ComputationError, match="double range"):
         delta_bound_energy(Dimension(300), 2000.0, 1.0, scales)
-    # at n = 250 the first level binds, but r^(-nu) of its mode overflows
+    # at n = 250 the first level binds and its mode builds; r^(-nu) overflows only near 0
+    psi = finite_well_bound_wavefunction(Dimension(250), 50000.0, 1.0, 1, scales)
+    with mpmath.workdps(30):
+        nu, q, kappa = mpmath.mpf(249) / 2, mpmath.sqrt(100000 - psi.eps), mpmath.sqrt(psi.eps)
+        a, b = mpmath.besselk(nu, kappa), mpmath.besselj(nu, q)
+
+        def form(r):
+            return (a * mpmath.besselj(nu, q * r) if r < 1 else b * mpmath.besselk(nu, kappa * r)) * r**-nu
+
+        # the mass sits where J_nu turns over (q r near nu) and within 20/kappa past the wall
+        inner = [0.0, 0.6] + mpmath.linspace(0.8, 1, 21)
+        outer = mpmath.linspace(1, 1 + 20 / kappa, 21) + [1 + 80 / kappa]
+        mass = (mpmath.quad(lambda r: r**250 * form(r) ** 2, inner)
+                + mpmath.quad(lambda r: r**250 * form(r) ** 2, outer))
+        for r in (0.01, 0.1, 0.5, 0.9, 1.0, 1.02):
+            want = float(form(mpmath.mpf(r)) / mpmath.sqrt(mass))
+            assert psi.sample(r) == pytest.approx(want, rel=1e-11)
     with pytest.raises(ComputationError, match="double range"):
-        finite_well_bound_wavefunction(Dimension(250), 50000.0, 1.0, 1, scales)
+        psi.sample(0.001)
 
 
 def test_shell_coupling_validation(scales):

@@ -14,11 +14,9 @@ from radialqm.specfun import (
     bessel_y,
     gamma_fn,
     hermite,
-    hermite_derivative,
     kummer_m,
     kummer_u,
     laguerre,
-    laguerre_derivative,
 )
 from radialqm.specfun.bessel_ik import scaled_bessel_i, scaled_bessel_k
 
@@ -140,21 +138,11 @@ def test_hermite_parity_and_recurrence():
     for n in range(8):
         for z in (0.3, 0.9, 2.1):
             assert hermite(n, -z) == pytest.approx((-1.0) ** n * hermite(n, z), rel=1e-12)
-            assert hermite_derivative(n, z) == pytest.approx(
-                2.0 * n * hermite(n - 1, z) if n else 0.0, rel=1e-12, abs=1e-12)
     # three-term recurrence
     for n in range(1, 9):
         z = 1.7
         assert hermite(n + 1, z) == pytest.approx(
             2.0 * z * hermite(n, z) - 2.0 * n * hermite(n - 1, z), rel=1e-12)
-
-
-def test_laguerre_derivative_recurrence():
-    for n in range(1, 7):
-        for alpha in (0.0, 0.5, 1.5):
-            z = 0.8
-            assert laguerre_derivative(n, alpha, z) == pytest.approx(
-                -laguerre(n - 1, alpha + 1.0, z), rel=1e-12, abs=1e-14)
 
 
 def test_odd_hermite_from_polynomial_kummer_u():
