@@ -12,9 +12,11 @@ turns every problem into
 
     -u'' - (1/r) u' + (nu^2 / r^2 + v(r)) u = eps u
 
-independent of the number of angular dimensions.  For n = 0 the profile
-u carries an r^(-1/2) factor, so the spectrum code switches to the
-equivalent half-line form in Psi itself (nu^2 - 1/4 vanishes there).
+independent of the number of angular dimensions.  For n = 0 and n = 2
+the profile u carries a non-smooth power r^(-+1/2) of r, but nu^2 - 1/4
+vanishes there, so the spectrum code switches to the equivalent
+half-line form -w'' + v w = eps w in w = r^(n/2) Psi, even at the origin
+for n = 0 and zero there for n = 2.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Iterator
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ..errors import ComputationError, DomainError, MatchingError
+from ..errors import DomainError, MatchingError
 from ..radial.model import (
     DeltaShell,
     Dimension,
@@ -73,74 +75,58 @@ class Grid:
         return (np.arange(self.points) + 0.5) * h
 
 
-def _smooth_profile(pot: Potential, scales: PhysicalScales, r: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """Reduced potential sampled at cell centers; shell handled separately."""
-    v = np.zeros_like(r)
+def _potential_diagonal(pot: Potential, grid: Grid, scales: PhysicalScales) -> np.ndarray:
+    """Reduced potential on the cells, the diagonal term of every row.
+
+    Smooth potentials are sampled at the cell centers, the step by the
+    volume fraction of each cell below it.  The shell gamma delta(r - R)
+    puts gamma / h on the one cell whose center is R: the discrete mass
+    is then exactly gamma in every form of the operator, and the kinked
+    eigenfunction keeps second-order convergence.
+    """
+    h = grid.spacing
+    v = np.zeros(grid.points)
     if isinstance(pot, Harmonic):
         mu = scales.oscillator_scale(pot.omega)
+        r = grid.centers()
         v = (mu * mu) * r * r
     elif isinstance(pot, FiniteWell):
         v0 = scales.reduced_potential(pot.V0)
         # volume fraction of each cell below the step keeps the O(h^2) constant small
-        h = edges[1] - edges[0]
-        fill = np.clip((pot.R - edges[:-1]) / h, 0.0, 1.0)
-        v = -v0 * fill
-    elif isinstance(pot, (InfiniteWell, Free, DeltaShell)):
-        pass
-    else:
+        left = np.arange(grid.points) * h
+        v = -v0 * np.clip((pot.R - left) / h, 0.0, 1.0)
+    elif isinstance(pot, DeltaShell):
+        if not pot.R < grid.r_max:
+            raise DomainError("shell radius must lie inside the grid")
+        cell = round(pot.R / h - 0.5)
+        if abs((cell + 0.5) * h - pot.R) > 1e-9 * pot.R:
+            raise DomainError("shell radius must sit on a cell center of the grid")
+        v[cell] = pot.sign * scales.reduced_coupling(pot.g) / h
+    elif not isinstance(pot, (InfiniteWell, Free)):
         raise DomainError(f"unsupported potential {pot!r}")
     return v
 
 
-def _shell_samples(
-    gamma_signed: float, R: float, width: float, r: np.ndarray, h: float, weights: np.ndarray
-) -> np.ndarray:
-    """Narrow normalized Gaussian whose discrete weighted mass is exact.
-
-    ``weights`` is the quadrature weight of each node in the inner
-    product the matrix is symmetric under (r * h on the profile grid,
-    h on the half-line grid); the samples are scaled so the discrete
-    replacement reproduces the shell's jump strength exactly.
-    """
-    g = np.exp(-0.5 * ((r - R) / width) ** 2)
-    mass = float(np.sum(g * weights))
-    if mass <= 0.0:
-        raise ComputationError("shell regularization missed every grid cell")
-    return gamma_signed * g / mass
-
-
 def _assemble(
-    dim: Dimension, pot: Potential, grid: Grid, scales: PhysicalScales, shell_width: float | None
+    dim: Dimension, pot: Potential, grid: Grid, scales: PhysicalScales
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tridiagonal (diagonal, off-diagonal) for the chosen grid.
-
-    ``shell_width`` is the Gaussian width that replaces a delta shell,
-    and None for every other potential.
-    """
+    """Symmetric tridiagonal (diagonal, off-diagonal) for the chosen grid."""
     h = grid.spacing
-    r = grid.centers()
-    edges = np.arange(grid.points + 1) * h
-    v = _smooth_profile(pot, scales, r, edges)
+    v = _potential_diagonal(pot, grid, scales)
 
-    if isinstance(pot, DeltaShell):
-        if not pot.R < grid.r_max:
-            raise DomainError("shell radius must lie inside the grid")
-        gamma_signed = pot.sign * scales.reduced_coupling(pot.g)
-        if dim.n == 0:
-            weights = np.full_like(r, h)
-        else:
-            weights = r * h / pot.R
-        v = v + _shell_samples(gamma_signed, pot.R, shell_width, r, h, weights)
-
-    if dim.n == 0:
-        # half-line form in Psi: -Psi'' + v Psi = eps Psi, even at the origin
+    if dim.n in (0, 2):
+        # half-line form in w = r^(n/2) Psi: -w'' + v w = eps w
         diag = np.full(grid.points, 2.0 / h**2) + v
-        diag[0] = 1.0 / h**2 + v[0]          # Neumann ghost: Psi(-r) = Psi(r)
+        # ghost cell at the origin: w even (Neumann) for n = 0, w odd
+        # (Dirichlet, w(0) = 0) for n = 2
+        diag[0] = (1.0 if dim.n == 0 else 3.0) / h**2 + v[0]
         diag[-1] = 3.0 / h**2 + v[-1]        # Dirichlet ghost: zero at the wall edge
         off = np.full(grid.points - 1, -1.0 / h**2)
         return diag, off
 
     nu = dim.nu
+    r = grid.centers()
+    edges = np.arange(grid.points + 1) * h
     left = edges[:-1]
     right = edges[1:]
     diag = (left + right) / (h * h * r) + (nu * nu) / (r * r) + v
@@ -160,28 +146,15 @@ def _eigenvalues(diag: np.ndarray, off: np.ndarray, count: int) -> np.ndarray:
     )
 
 
-def _delta_width_energies(
-    dim: Dimension, pot: DeltaShell, grid: Grid, count: int, scales: PhysicalScales
-) -> list[np.ndarray]:
-    """Eigenvalues for shell widths 4h, 2h, h, coarse to fine."""
-    h = grid.spacing
-    out = []
-    for width in (4.0 * h, 2.0 * h, 1.0 * h):
-        diag, off = _assemble(dim, pot, grid, scales, width)
-        out.append(_eigenvalues(diag, off, count))
-    return out
-
-
 def fd_bound_spectrum(
     dim: Dimension, pot: Potential, grid: Grid, count: int, scales: PhysicalScales
 ) -> list[EnergyLevel]:
     """Lowest ``count`` eigenvalues of the discretized reduced operator.
 
-    The shell potential is replaced by narrow normalized Gaussians of
-    width 4h, 2h and h and the width dependence is removed by Richardson
-    extrapolation; everything else is sampled directly.  Levels come
-    back ascending, numbered from 1, negative eigenvalues stored by
-    magnitude with the physical energy kept signed.
+    One second-order eigensolve for every potential; a shell needs its
+    radius on a cell center of ``grid``.  Levels come back ascending,
+    numbered from 1, negative eigenvalues stored by magnitude with the
+    physical energy kept signed.
     """
     if int(count) != count or count < 1:
         raise DomainError(f"level count must be an integer >= 1, got {count!r}")
@@ -190,20 +163,9 @@ def fd_bound_spectrum(
     if isinstance(pot, InfiniteWell) and abs(grid.r_max - pot.R) > 1e-9 * pot.R:
         raise DomainError("hard-wall spectra need the grid to end exactly at the wall")
 
-    if isinstance(pot, DeltaShell):
-        coarse, mid, fine = _delta_width_energies(dim, pot, grid, count, scales)
-        # the profile is kinked at the shell, so the mollified eigenvalue
-        # converges linearly in the width; two Richardson stages clean up
-        # the linear and quadratic terms
-        first_a = 2.0 * mid - coarse
-        first_b = 2.0 * fine - mid
-        eps = (4.0 * first_b - first_a) / 3.0
-    else:
-        diag, off = _assemble(dim, pot, grid, scales, None)
-        eps = _eigenvalues(diag, off, count)
-
+    diag, off = _assemble(dim, pot, grid, scales)
     levels = []
-    for i, value in enumerate(eps):
+    for i, value in enumerate(_eigenvalues(diag, off, count)):
         value = float(value)
         if value < 0.0:
             levels.append(EnergyLevel.bound_magnitude(i + 1, value, scales))

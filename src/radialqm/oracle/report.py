@@ -6,17 +6,19 @@ shooting, and arbitrary-precision series oracles and aggregates the
 comparison into :class:`OracleReport` rows.  The numeric kernels on the
 two sides stay disjoint; only the orchestration meets here.
 
-Convergence flags come from paired evaluations: spectra are re-run at
-doubled spacing (Richardson /3 error estimate for the second-order
-scheme), scattering rows at a shifted matching radius, shooting rows at
-a shifted wall, series rows at ten extra digits.  A row is converged
-when the paired gap fits inside its tolerance budget.
+Finite-difference spectra are solved on three grids whose spacings grow
+by a factor p, and Richardson-extrapolated to remove the h^2 term of the
+second-order scheme; the coarser pair's extrapolation gives the error
+estimate.  Convergence flags of the other rows come from paired
+evaluations: scattering rows at a shifted matching radius, shooting rows
+at a shifted wall, series rows at ten extra digits.  A row is converged
+when its error estimate fits inside its tolerance budget.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from ..radial.model import (
     Harmonic,
     InfiniteWell,
     PhysicalScales,
+    Potential,
 )
 from ..radial.norms import norm_integral
 from ..solvers import (
@@ -54,9 +57,10 @@ from .fd import Grid, fd_bound_spectrum, fd_scattering, series_memo, shooting_bo
 from .series import series_reference
 
 _REL_FLOOR = 1e-12
-_SPECTRUM_TOL = 1e-4
+_SPECTRUM_TOL = 1e-8
+_SHOOTING_TOL = 1e-6
 _SCATTERING_TOL = 1e-6
-_SHELL_BOUND_TOL = 2e-3
+_SHELL_BOUND_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ def _row(
     fine: float,
     check: float,
     budget: float,
-    reduce: float = 3.0,
+    reduce: float = 1.0,
 ) -> _Pair:
     gap = abs(check - fine) / (reduce * max(abs(fine), _REL_FLOOR))
     row = OracleReport(
@@ -97,22 +101,43 @@ def _row(
     return row, budget
 
 
+def _extrapolated_rows(
+    cases: Sequence[Tuple[str, float, int]],
+    dim: Dimension,
+    pot: Potential,
+    r_max: float,
+    points: int,
+    p: int,
+    budget: float,
+    sc: PhysicalScales,
+) -> List[_Pair]:
+    """Rows of (id, closed-form eps, level index) from three grids.
+
+    The grids have ``points``, ``points / p`` and ``points / p^2`` cells
+    (``points`` divisible by p^2).  The row's oracle is the Richardson
+    value (p^2 fine - mid) / (p^2 - 1); the same extrapolation of the
+    coarser pair differs from it by about p^4 - 1 times its h^4 remainder.
+    """
+    count = max(i for _, _, i in cases) + 1
+    fine, mid, coarse = (
+        fd_bound_spectrum(dim, pot, Grid(r_max, points // p**k), count, sc) for k in (0, 1, 2)
+    )
+    q = p * p
+    out: List[_Pair] = []
+    for rid, closed, i in cases:
+        oracle = (q * fine[i].eps - mid[i].eps) / (q - 1)
+        check = (q * mid[i].eps - coarse[i].eps) / (q - 1)
+        out.append(_row(rid, closed, oracle, check, budget, reduce=q * q - 1.0))
+    return out
+
+
 def _well_rows(sc: PhysicalScales) -> List[_Pair]:
     out: List[_Pair] = []
     for n in (0, 1, 2, 4):
         dim = Dimension(n)
         closed = infinite_well_spectrum(dim, 1.0, 2, sc)
-        pot = InfiniteWell(R=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(1.0, 3000), 2, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(1.0, 1500), 2, sc)
-        for i, N in enumerate((1, 2)):
-            out.append(_row(
-                f"infinite_well_n{n}_N{N}",
-                closed[i].eps,
-                fine[i].eps,
-                half[i].eps,
-                _SPECTRUM_TOL,
-            ))
+        cases = [(f"infinite_well_n{n}_N{i + 1}", closed[i].eps, i) for i in (0, 1)]
+        out += _extrapolated_rows(cases, dim, InfiniteWell(R=1.0), 1.0, 1000, 2, _SPECTRUM_TOL, sc)
     return out
 
 
@@ -123,31 +148,18 @@ def _oscillator_rows(sc: PhysicalScales) -> List[_Pair]:
     for n in (0, 1, 2):
         dim = Dimension(n)
         closed = oscillator_spectrum(dim, 1.0, 5, sc)
-        pot = Harmonic(omega=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(9.0, 4000), 2, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(9.0, 2000), 2, sc)
-        for k in (0, 1):
-            idx = 2 * k if n == 0 else k
-            out.append(_row(
-                f"oscillator_n{n}_N{idx}",
-                closed[idx].eps,
-                fine[k].eps,
-                half[k].eps,
-                _SPECTRUM_TOL,
-            ))
+        ladder = (0, 2) if n == 0 else (0, 1)
+        cases = [(f"oscillator_n{n}_N{j}", closed[j].eps, k) for k, j in enumerate(ladder)]
+        out += _extrapolated_rows(cases, dim, Harmonic(omega=1.0), 9.0, 2000, 2, _SPECTRUM_TOL, sc)
     return out
 
 
 def _finite_well_rows(sc: PhysicalScales) -> List[_Pair]:
+    # the step at R = 1 sits on a cell edge of all three grids
     dim = Dimension(2)
     closed = finite_well_bound_spectrum(dim, 18.0, 1.0, sc)
-    pot = FiniteWell(V0=18.0, R=1.0)
-    fine = fd_bound_spectrum(dim, pot, Grid(6.0, 24000), 2, sc)
-    half = fd_bound_spectrum(dim, pot, Grid(6.0, 12000), 2, sc)
-    return [
-        _row(f"finite_well_n2_N{N}", closed[i][0].eps, fine[i].eps, half[i].eps, _SPECTRUM_TOL)
-        for i, N in enumerate((1, 2))
-    ]
+    cases = [(f"finite_well_n2_N{i + 1}", closed[i][0].eps, i) for i in (0, 1)]
+    return _extrapolated_rows(cases, dim, FiniteWell(V0=18.0, R=1.0), 6.0, 6000, 2, _SPECTRUM_TOL, sc)
 
 
 def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
@@ -168,7 +180,7 @@ def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
     for rid, dim, pot, eps, closed, budget in cases:
         fine, _ = fd_scattering(dim, pot, eps, near, sc)
         chk, _ = fd_scattering(dim, pot, eps, far, sc)
-        out.append(_row(rid, closed, abs(fine) ** 2, abs(chk) ** 2, budget, reduce=1.0))
+        out.append(_row(rid, closed, abs(fine) ** 2, abs(chk) ** 2, budget))
     return out
 
 
@@ -182,14 +194,7 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
     got = shooting_bound_levels(dim1, osc, 7.0, lo, hi, sc, count=2)
     chk = shooting_bound_levels(dim1, osc, 8.0, lo, hi, sc, count=2)
     for k in (0, 1):
-        out.append(_row(
-            f"shooting_oscillator_n1_N{k}",
-            closed[k].eps,
-            got[k],
-            chk[k],
-            _SPECTRUM_TOL,
-            reduce=1.0,
-        ))
+        out.append(_row(f"shooting_oscillator_n1_N{k}", closed[k].eps, got[k], chk[k], _SHOOTING_TOL))
 
     dim2 = Dimension(2)
     pot = FiniteWell(V0=18.0, R=1.0)
@@ -197,14 +202,7 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
     lo, hi = -1.1 * deepest.eps, -0.9 * deepest.eps
     got = shooting_bound_levels(dim2, pot, 3.0, lo, hi, sc, count=1)
     chk = shooting_bound_levels(dim2, pot, 3.5, lo, hi, sc, count=1)
-    out.append(_row(
-        "shooting_finite_well_n2_N1",
-        -deepest.eps,
-        got[0],
-        chk[0],
-        _SPECTRUM_TOL,
-        reduce=1.0,
-    ))
+    out.append(_row("shooting_finite_well_n2_N1", -deepest.eps, got[0], chk[0], _SHOOTING_TOL))
     return out
 
 
@@ -217,7 +215,7 @@ def _series_combination(digits: int) -> float:
 
 
 def _series_rows() -> List[_Pair]:
-    out = [_row("series_wronskian_ik_x2", 0.5, _series_combination(25), _series_combination(35), 1e-13, reduce=1.0)]
+    out = [_row("series_wronskian_ik_x2", 0.5, _series_combination(25), _series_combination(35), 1e-13)]
     probes = (
         ("kernel_vs_series_j", "bessel_j", 0.5, 1.0, bessel_j),
         ("kernel_vs_series_y", "bessel_y", 0.0, 2.0, bessel_y),
@@ -227,26 +225,25 @@ def _series_rows() -> List[_Pair]:
         closed = kernel(nu, x).value
         fine = float(series_reference(fid, nu, x, 30))
         chk = float(series_reference(fid, nu, x, 40))
-        out.append(_row(rid, closed, fine, chk, 1e-11, reduce=1.0))
+        out.append(_row(rid, closed, fine, chk, 1e-11))
     return out
 
 
 def _shell_bound_rows(sc: PhysicalScales) -> List[_Pair]:
-    # the regularized shell converges one order below the smooth rows
-    # (kinked eigenfunction), so these carry their own looser budget
+    # R = 1 sits on a cell center of every grid (1/h = 904.5 and 3757.5
+    # on the finest), which a 3x coarsening keeps and a 2x one would not;
+    # the kinked eigenfunction leaves a larger h^4 remainder than the
+    # smooth rows, so these carry their own budget
     out: List[_Pair] = []
     cases = (
-        ("delta_shell_bound_n2", 2, 3.0, 4.0, 8000),
-        ("delta_shell_bound_strong_n0", 0, 25.0, 1.6, 6000),
+        ("delta_shell_bound_n2", 2, 3.0, 6.0, 5427),
+        ("delta_shell_bound_strong_n0", 0, 25.0, 1.6, 6012),
     )
     for rid, n, g, r_max, points in cases:
         dim = Dimension(n)
-        gamma = sc.reduced_coupling(g)
-        closed = delta_bound_energy(dim, gamma, 1.0, sc)[0]
+        closed = delta_bound_energy(dim, sc.reduced_coupling(g), 1.0, sc)[0]
         pot = DeltaShell(g=g, sign=-1, R=1.0)
-        fine = fd_bound_spectrum(dim, pot, Grid(r_max, points), 1, sc)
-        half = fd_bound_spectrum(dim, pot, Grid(r_max, points // 2), 1, sc)
-        out.append(_row(rid, closed.eps, fine[0].eps, half[0].eps, _SHELL_BOUND_TOL))
+        out += _extrapolated_rows([(rid, closed.eps, 0)], dim, pot, r_max, points, 3, _SHELL_BOUND_TOL, sc)
     return out
 
 
@@ -501,10 +498,10 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
     """Full JSON-ready validation report.
 
     Rows cover every problem family (bound spectra on grids, scattering
-    sweeps, shooting and series references) plus the regularized
-    shell-bound comparisons, which carry their own looser registered
-    tolerance (the width extrapolation of a kinked eigenfunction
-    converges one order below the smooth-potential rows).  The
+    sweeps, shooting and series references) plus the shell-bound
+    comparisons, which carry their own registered tolerance (the kinked
+    eigenfunction leaves a larger remainder after extrapolation than the
+    smooth-potential rows).  The
     ``discrepancies`` section lists every printed-formula mismatch with
     recomputed numeric evidence; consumers must treat a missing entry
     there as a failure.

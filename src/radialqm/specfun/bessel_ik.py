@@ -18,12 +18,11 @@ from typing import Tuple
 
 from ..errors import ComputationError
 from ._temme import temme_start
-from .gammafn import gamma_plus_one
+from .gammafn import series_seed
 from .order import check_args, origin_value
 from .result import EvalResult, overflow_result
 
 _EPS = 2.2e-16
-_LOG_MAX = math.log(1.7976931348623157e308)
 _MAX_SERIES = 2600
 # relative error of the K recurrence
 _K_REL = 4e-15
@@ -31,21 +30,11 @@ _K_REL = 4e-15
 
 def _i_series(nu: float, x: float):
     """(I_nu, est) by the ascending series; x > 0."""
-    g, g_rel = gamma_plus_one(nu)
-    try:
-        seed = (0.5 * x) ** nu / g
-        seed_rel = 2.0 * _EPS
-    except OverflowError:
-        # (x/2)^nu alone leaves the double range; the ratio may not
-        log_seed = nu * math.log(0.5 * x) - math.log(g)
-        if log_seed > _LOG_MAX:
-            return math.inf, math.inf
-        seed = math.exp(log_seed)
-        # the logs round relative to their own size, exp turns that into relative error
-        seed_rel = 2.0 * _EPS * (abs(nu * math.log(0.5 * x)) + abs(math.log(g)) + 1.0)
+    seed, seed_rel = series_seed(nu, x)
+    if math.isinf(seed):
+        return math.inf, math.inf
     if seed == 0.0:
         return 0.0, 5e-324
-    seed_rel += g_rel
     z = 0.25 * x * x
     terms = [seed]
     t = seed

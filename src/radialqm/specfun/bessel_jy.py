@@ -18,12 +18,13 @@ routines are involved anywhere in the package.
 """
 from __future__ import annotations
 
+import functools
 import math
 from typing import Tuple
 
 from ..errors import ComputationError
 from ._temme import temme_start
-from .gammafn import gamma_plus_one
+from .gammafn import series_seed
 from .order import check_args, origin_value
 from .result import EvalResult, overflow_result
 
@@ -46,8 +47,7 @@ def _asym_region(nu: float, x: float) -> bool:
 
 def _j_series(nu: float, x: float):
     """(J_nu, est_abs_error) by the ascending series; x > 0."""
-    g, g_rel = gamma_plus_one(nu)
-    seed = (0.5 * x) ** nu / g
+    seed, seed_rel = series_seed(nu, x)
     if seed == 0.0:
         # below the double range
         return 0.0, 5e-324
@@ -67,11 +67,14 @@ def _j_series(nu: float, x: float):
     value = math.fsum(terms)
     # rounding, which grows along the term recurrence, plus the seed's
     # error, which scales every term
-    seed_rel = g_rel + 2.0 * _EPS
     est = (2.0 + math.sqrt(len(terms))) * _EPS * (peak + abs(value)) + seed_rel * abs(value)
     return value, max(est, 5e-324 * len(terms))
 
 
+# bessel_jy runs the engine at orders nu and nu + 1, which share the base
+# order mu and so ask for the same (mu, x) twice in a row; _cf2 and
+# _temme_y are pure, so a one-entry memo answers the second call
+@functools.lru_cache(maxsize=1)
 def _temme_y(mu: float, x: float):
     """(Y_mu, Y_{mu+1}) for |mu| <= 1/2 and 0 < x <= 2, by the small-x series."""
     f, p, q = temme_start(mu, x)
@@ -132,6 +135,7 @@ def _cf1(nu: float, x: float):
     raise ComputationError("ratio continued fraction did not converge")
 
 
+@functools.lru_cache(maxsize=1)
 def _cf2(mu: float, x: float):
     """(p, q) with H'(x)/H(x) = p + iq at order |mu| <= 1/2, x > 2."""
     base = complex(-0.5 / x, 1.0)

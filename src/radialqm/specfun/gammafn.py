@@ -31,6 +31,8 @@ _OVERFLOW_EDGE = 171.624376956
 
 _KERNEL_RELERR = 3e-15
 _STEP_RELERR = 1.2e-16
+_EPS = 2.2e-16
+_LOG_MAX = math.log(1.7976931348623157e308)
 
 
 def _kernel(x: float) -> float:
@@ -105,11 +107,37 @@ def gamma_plus_one(nu: float) -> tuple[float, float]:
     The sum nu + 1.0 rounds by up to half an ulp, which moves Gamma by
     psi(nu + 1) times that shift, with |psi(t)| <= |log t| + 1/t for
     t >= 1/2; gamma_fn adds its own estimate.  The value is inf past the
-    double range.  Memoized: the series kernels see few distinct orders.
+    double range, and the error then that shift alone, which
+    log Gamma(nu + 1) carries as well.  Memoized: the series kernels see
+    few distinct orders.
     """
     top = nu + 1.0
     g = gamma_fn(top)
-    if math.isinf(g.value):
-        return g.value, math.inf
     shift = (abs(math.log(top)) + 1.0 / top) * 0.5 * math.ulp(top)
+    if math.isinf(g.value):
+        return g.value, shift
     return g.value, shift + g.est_abs_error / g.value
+
+
+def series_seed(nu: float, x: float) -> tuple[float, float]:
+    """((x/2)^nu / Gamma(nu + 1), its relative error) for x > 0.
+
+    The leading term of the ascending series of J_nu and I_nu.  The
+    quotient is formed directly while both of its parts are finite, and
+    from nu log(x/2) - log Gamma(nu + 1) past that, where the logs round
+    relative to their own size and exp turns that into relative error.
+    The value is inf when the seed itself leaves the double range.
+    """
+    g, g_rel = gamma_plus_one(nu)
+    if math.isfinite(g):
+        try:
+            return (0.5 * x) ** nu / g, g_rel + 2.0 * _EPS
+        except OverflowError:
+            log_g = math.log(g)
+    else:
+        log_g = math.lgamma(nu + 1.0)
+    log_power = nu * math.log(0.5 * x)
+    log_seed = log_power - log_g
+    if log_seed > _LOG_MAX:
+        return math.inf, math.inf
+    return math.exp(log_seed), g_rel + 2.0 * _EPS * (abs(log_power) + abs(log_g) + 1.0)

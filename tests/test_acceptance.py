@@ -149,13 +149,14 @@ def test_criterion_4_shell_bound_states():
         lv, _ = delta_bound_energy(Dimension(n), 1000.0, 1.0, SC)
         if abs(lv.eps - 250000.0) / 250000.0 > 1e-2:
             failures.append(f"strong-coupling limit n={n}")
-    for n, gamma, r_max in ((2, 6.0, 3.0), (1, 4.0, 3.5), (0, 50.0, 1.2)):
+    # each grid puts R = 1 on a cell center (1/h = 1333.5, 1333.5, 5002.5)
+    for n, gamma, r_max, points in ((2, 6.0, 6.0, 8001), (1, 4.0, 6.0, 8001), (0, 50.0, 1.6, 8004)):
         lv, _ = delta_bound_energy(Dimension(n), gamma, 1.0, SC)
         fd = fd_bound_spectrum(Dimension(n), DeltaShell(gamma / 2.0, -1, 1.0),
-                               Grid(r_max, 8000), 1, SC)
+                               Grid(r_max, points), 1, SC)
         rel = abs(lv.eps - fd[0].eps) / lv.eps
-        if rel > 1e-3:
-            failures.append(f"regularized oracle n={n} rel {rel:.2e}")
+        if rel > 1e-5:
+            failures.append(f"finite-difference oracle n={n} rel {rel:.2e}")
         psi = delta_bound_wavefunction(Dimension(n), gamma, 1.0, SC)
         resid = abs(_weighted_slope_jump(psi, n, 1.0) + gamma * psi.sample(1.0))
         if resid > 1e-8:

@@ -265,6 +265,17 @@ def test_box_at_high_order_starts_at_the_true_first_zero():
     assert out.splitlines()[3] == "0.5,1.33180263824e+25"
 
 
+def test_box_at_high_order_samples_near_the_origin():
+    # J_199.5(10.5) needs the series seed past the overflow of Gamma(200.5)
+    code, out, _ = run_cli(["wavefunction", "--problem", "infinite-well", "--n", "400",
+                            "--radius", "1", "--level", "1", "--samples", "10"])
+    assert code == 0
+    r, psi = out.splitlines()[1].split(",")
+    # mpmath: sqrt(2) r^-199.5 J_199.5(z r) / |J_200.5(z)| at r = 0.05
+    assert r == "0.05"
+    assert float(psi) == pytest.approx(1.9563263978661384216e31, rel=1e-11)
+
+
 _SP = ["spectrum", "--n", "2", "--problem"]
 _WF = ["wavefunction", "--n", "2", "--problem"]
 _SC = ["scattering", "--n", "2", "--radius", "1", "--eps-from", "1", "--eps-to", "2",

@@ -9,7 +9,7 @@ import pytest
 
 from radialqm.errors import DomainError, MatchingError
 from radialqm.oracle import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
-from radialqm.oracle.fd import _delta_width_energies, _rk4_lanes, _rk4_sweep, _shoot_setup
+from radialqm.oracle.fd import _rk4_lanes, _rk4_sweep, _shoot_setup
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import DeltaShell, FiniteWell, Free, Harmonic, InfiniteWell
 from radialqm.solvers import delta_scattering, finite_well_scattering
@@ -49,20 +49,20 @@ def test_grid_halving_cuts_the_error_by_at_least_three(scales):
         assert ratio >= 3.0
 
 
-def test_shell_width_sequence_is_monotone_and_richardson_consistent(scales):
-    solver_eps = -8.954760672448813
-    c, m, f = _delta_width_energies(
-        Dimension(2), DeltaShell(3.0, -1, 1.0), Grid(3.0, 4000), 1, scales)
-    seq = (c[0], m[0], f[0])
-    assert seq[0] > seq[1] > seq[2]
-    rich = (4.0 * (2.0 * f[0] - m[0]) - (2.0 * m[0] - c[0])) / 3.0
-    assert abs(rich - solver_eps) < abs(f[0] - solver_eps)
-
-
-def test_regularized_shell_spectrum(scales):
-    got = fd_bound_spectrum(Dimension(0), DeltaShell(25.0, -1, 1.0), Grid(1.6, 6000), 1, scales)
+def test_cell_centred_shell_spectrum(scales):
+    # 1/h = 3757.5 puts R = 1 on a cell center; one grid is 1.1e-5 off
+    got = fd_bound_spectrum(Dimension(0), DeltaShell(25.0, -1, 1.0), Grid(1.6, 6012), 1, scales)
     assert got[0].E < 0.0
-    assert got[0].eps == pytest.approx(625.0, rel=2e-3)
+    assert got[0].eps == pytest.approx(625.0, rel=2e-5)
+
+
+@pytest.mark.parametrize("n", (0, 1, 2))
+def test_shell_off_a_cell_center_is_rejected(n, scales):
+    # 1/h = 3750: R = 1 falls on a cell edge
+    with pytest.raises(DomainError, match="cell center"):
+        fd_bound_spectrum(Dimension(n), DeltaShell(25.0, -1, 1.0), Grid(1.6, 6000), 1, scales)
+    with pytest.raises(DomainError, match="inside the grid"):
+        fd_bound_spectrum(Dimension(n), DeltaShell(25.0, -1, 2.0), Grid(1.6, 6012), 1, scales)
 
 
 def test_level_count_validation(scales):

@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import pytest
 
-from radialqm.oracle import Grid, OracleReport, fd, fd_bound_spectrum, validation_report
+from radialqm.cli import main
+from radialqm.oracle import OracleReport, fd, validation_report
 from radialqm.oracle import report as report_module
 from radialqm.oracle.series import series_reference
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import Harmonic
-from radialqm.solvers import oscillator_spectrum
+from radialqm.solvers import delta_bound_energy, infinite_well_spectrum, oscillator_spectrum
 
 REQUIRED_DISCREPANCIES = {
     "printed_infinite_well_norm_constant",
@@ -31,8 +33,8 @@ def report():
 
 @pytest.fixture(scope="module")
 def default_rows(report):
-    # the report's rows minus the regularized shell-bound pair, which
-    # carries its own looser tolerance
+    # the report's rows minus the shell-bound pair, which carries its
+    # own tolerance
     return [OracleReport(**row) for row in report["rows"]
             if not row["id"].startswith("delta_shell_bound_")]
 
@@ -40,7 +42,67 @@ def default_rows(report):
 def test_default_suite_passes_and_converges(default_rows):
     assert len(default_rows) == 27
     assert all(row.converged for row in default_rows)
-    assert max(row.rel_diff for row in default_rows) < 1e-4
+    # the shooting rows reach 5.5e-8, the extrapolated spectra 3.1e-10
+    assert max(row.rel_diff for row in default_rows) < 1e-7
+    spectra = [row for row in default_rows
+               if row.id.startswith(("infinite_well_", "oscillator_", "finite_well_n"))]
+    assert len(spectra) == 16
+    assert max(row.rel_diff for row in spectra) < 1e-9
+
+
+def test_shell_rows_pass_and_converge(report):
+    # measured 1.3e-10 (n = 2) and 2.2e-9 (strong n = 0)
+    shells = [row for row in report["rows"] if row["id"].startswith("delta_shell_bound_")]
+    assert len(shells) == 2
+    assert all(row["converged"] and row["rel_diff"] < 1e-8 for row in shells)
+
+
+def test_every_spectrum_family_converges_at_second_order(monkeypatch):
+    # the three grids of every finite-difference row: successive gaps
+    # shrink by p^2 for the coarsening factor p
+    solves = []
+
+    def recorded(dim, pot, grid, count, sc):
+        levels = fd.fd_bound_spectrum(dim, pot, grid, count, sc)
+        solves.append((grid.points, [lv.eps for lv in levels]))
+        return levels
+
+    monkeypatch.setattr(report_module, "fd_bound_spectrum", recorded)
+    sc = PhysicalScales()
+    families = (report_module._well_rows, report_module._oscillator_rows,
+                report_module._finite_well_rows, report_module._shell_bound_rows)
+    for rows in families:
+        solves.clear()
+        rows(sc)
+        assert solves and len(solves) % 3 == 0
+        for (n_f, fine), (n_m, mid), (_, coarse) in zip(*[iter(solves)] * 3):
+            for f, m, c in zip(fine, mid, coarse):
+                order = math.log(abs((c - m) / (m - f))) / math.log(n_f / n_m)
+                assert 1.8 <= order <= 2.2, (rows.__name__, n_f, order)
+
+
+def _scaled_eps(level, factor):
+    return dataclasses.replace(level, eps=level.eps * factor)
+
+
+@pytest.mark.parametrize("target", ("delta_bound_energy", "infinite_well_spectrum"))
+def test_a_closed_form_off_by_one_part_in_a_million_fails_validate(target, monkeypatch, capsys):
+    # budgets of 1e-8 (spectra) and 1e-7 (shells) must catch an error
+    # of 1e-6 that the old 1e-4 and 2e-3 let through
+    def off_shell(*args):
+        level, root = delta_bound_energy(*args)
+        return _scaled_eps(level, 1.0 + 1e-6), root
+
+    def off_box(*args):
+        return [_scaled_eps(level, 1.0 + 1e-6) for level in infinite_well_spectrum(*args)]
+
+    monkeypatch.setattr(report_module, target,
+                        off_shell if target == "delta_bound_energy" else off_box)
+    assert main(["validate"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    failing = [row["id"] for row in report["rows"] if row["rel_diff"] > 1e-7]
+    prefix = "delta_shell_bound_" if target == "delta_bound_energy" else "infinite_well_"
+    assert failing and all(rid.startswith(prefix) for rid in failing)
 
 
 def test_report_rows_have_the_contract_fields(default_rows):
@@ -65,17 +127,16 @@ def test_every_problem_family_is_covered(default_rows):
 
 
 def test_coarse_suite_flags_non_convergence():
-    # negative control: the n = 1 oscillator rows on an unresolved grid
-    # pair must trip the convergence flag
+    # negative control: the n = 1 oscillator rows on unresolved grids
+    # (400, 200, 100 cells) must trip the convergence flag
     sc = PhysicalScales()
     dim = Dimension(1)
     closed = oscillator_spectrum(dim, 1.0, 2, sc)
-    fine = fd_bound_spectrum(dim, Harmonic(1.0), Grid(9.0, 160), 2, sc)
-    half = fd_bound_spectrum(dim, Harmonic(1.0), Grid(9.0, 100), 2, sc)
-    for k in (0, 1):
-        row, _ = report_module._row(f"oscillator_n1_N{k}", closed[k].eps, fine[k].eps,
-                                    half[k].eps, report_module._SPECTRUM_TOL)
-        assert not row.converged
+    cases = [(f"oscillator_n1_N{k}", closed[k].eps, k) for k in (0, 1)]
+    pairs = report_module._extrapolated_rows(cases, dim, Harmonic(1.0), 9.0, 400, 2,
+                                             report_module._SPECTRUM_TOL, sc)
+    assert len(pairs) == 2
+    assert not any(row.converged for row, _ in pairs)
 
 
 def test_report_structure(report):

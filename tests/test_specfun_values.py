@@ -66,12 +66,13 @@ def test_error_estimates_are_sane():
 def test_series_error_estimates_cover_mpmath():
     # the ascending series of J and I, where the seed (x/2)^nu / Gamma(nu + 1)
     # carries the rounding of nu + 1 and the error of Gamma; subnormal
-    # values keep a nonzero estimate
+    # values keep a nonzero estimate, and orders past nu = 170.6, where
+    # Gamma(nu + 1) overflows, take the seed from logs
     rng = random.Random(20121)
     draws = []
     for _ in range(300):
-        nu = rng.choice((rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 170.0),
-                         0.5 * rng.randint(-1, 340)))
+        nu = rng.choice((rng.uniform(-0.5, 2.0), rng.uniform(-0.5, 300.0),
+                         0.5 * rng.randint(-1, 600)))
         edge = max(2.0, 2.0 * math.sqrt(nu + 1.0))
         x = rng.choice((rng.uniform(0.0, edge), edge * 10.0 ** rng.uniform(-6.0, 0.0))) or edge
         draws.append((nu, x))
@@ -87,6 +88,22 @@ def test_series_error_estimates_cover_mpmath():
                 if not err <= got.est_abs_error:
                     misses.append((kernel.__name__, nu, x, float(err), got.est_abs_error))
     assert not misses, misses[:5]
+
+
+@pytest.mark.parametrize("kernel, nu, x", [
+    (bessel_i, 180.0, 30.0),     # 8.54e-118
+    (bessel_i, 172.0, 5.0),      # 1.36e-243
+    (bessel_j, 199.5, 21.052),   # 9.02e-171
+])
+def test_series_past_the_gamma_overflow(kernel, nu, x):
+    # Gamma(nu + 1) leaves the double range, the seed of the series does not
+    exact = mpmath.besseli if kernel is bessel_i else mpmath.besselj
+    got = kernel(nu, x)
+    with mpmath.workdps(40):
+        want = exact(mpmath.mpf(nu), mpmath.mpf(x))
+        err = abs(mpmath.mpf(got.value) - want)
+    assert err <= got.est_abs_error
+    assert err <= 1e-13 * want
 
 
 @pytest.mark.parametrize("kernel, nu, x, exact", [
