@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -203,7 +203,7 @@ def _rk4_sweep(
     nu: float,
     eps: float,
     y0: tuple[float, float],
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
     """Integrate (u, u') over (a, b, step target, potential) segments.
 
     Each segment carries its own potential callable so a step ending on
@@ -212,9 +212,15 @@ def _rk4_sweep(
     discontinuities.  The stages are written out for u' = p,
     p' = -p/r + c(r) u: each u-slope is the stage's p, and stages 2 and
     3 share the midpoint coefficient.
+
+    Returns (u, u', nodes), where ``nodes`` counts the steps across which
+    u changes sign (zero counts as positive).  Its parity is therefore
+    exactly whether u ends with the other sign than it started.
     """
     u, p = y0
     nu2 = nu * nu
+    negative = u < 0.0
+    nodes = 0
     for a, b, target, v_of_r in segments:
         if b <= a:
             continue
@@ -235,79 +241,10 @@ def _rk4_sweep(
             k4p = -p4 / re + (nu2 / (re * re) + v_of_r(re) - eps) * (u + h * p3)
             u += h * (p + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
             p += h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-    return u, p
-
-
-def _rk4_lanes(
-    lanes: list[tuple[list[tuple[float, float, float, object]], tuple[float, float]]],
-    nu: float,
-    eps: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_rk4_sweep`` for many independent (segments, y0) lanes at once.
-
-    Lane j integrates at energy ``eps[j]``.  Each lane does the scalar
-    sweep's float64 operations in the same order, so every lane ends on
-    the same bits as ``_rk4_sweep``, provided each potential accepts
-    arrays and rounds on them exactly as on floats.
-    Lanes run longest first, so the lanes still stepping at any row are
-    a prefix of the table columns.
-    """
-    nu2 = nu * nu
-    live = [[seg for seg in segments if seg[1] > seg[0]] for segments, _ in lanes]
-    counts = [[max(4, int(math.ceil((b - a) / target))) for a, b, target, _ in segs] for segs in live]
-    steps = np.array([sum(m) for m in counts], dtype=int)
-    order = np.argsort(-steps, kind="stable")
-    rows = int(steps.max(initial=0))
-    # per step: start radius, step size and the coefficient c(r) at the
-    # start, midpoint and end; filled one column at a time, cells past a
-    # lane's last step stay zero and are never read
-    r_tab, h_tab, c0_tab, cm_tab, ce_tab = (np.zeros((rows, len(lanes))) for _ in range(5))
-    for col, j in enumerate(order):
-        segs, m, n = live[j], counts[j], steps[j]
-        h = np.repeat([(b - a) / k for (a, b, _, _), k in zip(segs, m)], m)
-        i = np.arange(n) - np.repeat(np.cumsum(m) - m, m)
-        r = np.repeat([a for a, _, _, _ in segs], m) + i * h
-        r_tab[:n, col] = r
-        h_tab[:n, col] = h
-        runs = []                         # [first row, end row, potential]
-        row = 0
-        for (_, _, _, v_of_r), k in zip(segs, m):
-            if runs and runs[-1][2] is v_of_r:
-                runs[-1][1] += k
-            else:
-                runs.append([row, row + k, v_of_r])
-            row += k
-        for tab, x in ((c0_tab, r), (cm_tab, r + 0.5 * h), (ce_tab, r + h)):
-            c = nu2 / (x * x)
-            for lo, hi, v_of_r in runs:
-                c[lo:hi] += v_of_r(x[lo:hi])
-            tab[:n, col] = c - eps[j]
-
-    u = np.array([lanes[j][1][0] for j in order], dtype=float)
-    p = np.array([lanes[j][1][1] for j in order], dtype=float)
-    active = np.searchsorted(-steps[order], -np.arange(rows), side="left").tolist()
-    for t in range(rows):
-        k = active[t]
-        uk, pk = u[:k], p[:k]
-        r, h = r_tab[t, :k], h_tab[t, :k]
-        hh = 0.5 * h
-        rm = r + hh
-        c_mid = cm_tab[t, :k]
-        k1p = -pk / r + c0_tab[t, :k] * uk
-        p2 = pk + hh * k1p
-        k2p = -p2 / rm + c_mid * (uk + hh * pk)
-        p3 = pk + hh * k2p
-        k3p = -p3 / rm + c_mid * (uk + hh * p2)
-        p4 = pk + h * k3p
-        k4p = -p4 / (r + h) + ce_tab[t, :k] * (uk + h * p3)
-        u[:k] = uk + h * (pk + 2.0 * p2 + 2.0 * p3 + p4) / 6.0
-        p[:k] = pk + h * (k1p + 2.0 * k2p + 2.0 * k3p + k4p) / 6.0
-
-    u_out = np.empty_like(u)
-    p_out = np.empty_like(p)
-    u_out[order] = u
-    p_out[order] = p
-    return u_out, p_out
+            if (u < 0.0) != negative:
+                negative = not negative
+                nodes += 1
+    return u, p, nodes
 
 
 # (function, nu, x) -> value while a series_memo() block is open, else None
@@ -416,12 +353,12 @@ def fd_scattering(
     body_h = 2.0 * math.pi / kt / 576.0
     exterior_h = 2.0 * math.pi / math.sqrt(eps) / 576.0
     segments.append((knee, R, body_h, v_inside))
-    u, p = _rk4_sweep(segments, nu, eps, (u0, p0))
+    u, p, _ = _rk4_sweep(segments, nu, eps, (u0, p0))
 
     if isinstance(pot, DeltaShell):
         p += pot.sign * scales.reduced_coupling(pot.g) * u
 
-    u, p = _rk4_sweep([(R, r_max, exterior_h, v_zero)], nu, eps, (u, p))
+    u, p, _ = _rk4_sweep([(R, r_max, exterior_h, v_zero)], nu, eps, (u, p))
     c_out, c_in = _match_exterior(nu, eps, r_max, u, p)
     interior_norm = math.gamma(nu + 1.0) * (2.0 / kt) ** nu
     return interior_norm / c_in, c_out / c_in
@@ -431,10 +368,10 @@ def fd_scattering(
 # shooting, kept as an independent check on the matrix spectra
 
 
-def _shoot_setup(
+def _shoot_residual(
     dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales
-) -> tuple[list[tuple[float, float, float, object]], tuple[float, float]]:
-    """Segments and series start of one outward shot to the wall at r_max."""
+) -> tuple[float, int]:
+    """End value u(r_max) of one outward shot to the wall, and its node count."""
     nu = dim.nu
 
     def v_zero(r: float) -> float:
@@ -445,8 +382,8 @@ def _shoot_setup(
 
         def v_body(r: float) -> float:
             # a product, not ** 2: float ** 2 goes through libm pow, which
-            # is not always correctly rounded and so can differ from the
-            # squaring that numpy arrays (the scan lanes) use
+            # is not always correctly rounded, and the recorded report
+            # values were computed with the product
             mr = mu * r
             return mr * mr
 
@@ -465,7 +402,7 @@ def _shoot_setup(
 
     kt = math.sqrt(max(abs(eps - local_v), 1.0))
     r_start = min(feature / 8.0, 0.02 / kt)
-    u, p = _series_start(nu, local_v, eps, r_start)
+    y0 = _series_start(nu, local_v, eps, r_start)
     segments = []
     rr = r_start
     knee = min(feature / 2.0, r_max / 4.0)
@@ -479,13 +416,98 @@ def _shoot_setup(
         segments.append((pot.R, r_max, body_h, v_zero))
     else:
         segments.append((knee, r_max, body_h, v_body))
-    return segments, (u, p)
+    u_end, _, nodes = _rk4_sweep(segments, nu, eps, y0)
+    return u_end, nodes
 
 
-def _shoot_residual(dim: Dimension, pot: Potential, eps: float, r_max: float, scales: PhysicalScales) -> float:
-    segments, y0 = _shoot_setup(dim, pot, eps, r_max, scales)
-    u_end, _ = _rk4_sweep(segments, dim.nu, eps, y0)
-    return u_end
+# The scan shoots every _STRIDE-th energy of its grid.  Bisection stops at
+# a relative bracket width of _STOP, after at most _HALVINGS steps;
+# Illinois steps first shrink an inner bracket to _STOP / _INNER.
+_STRIDE = 8
+_STOP = 1e-12
+_HALVINGS = 80
+_INNER = 16.0
+_ILLINOIS_STEPS = 30
+
+
+def _count_cells(shot: Callable[[int], tuple[float, int]], j: int, k: int) -> Iterator[int]:
+    """Grid cells (i, i + 1) in [j, k] across which the node count changes, in order.
+
+    Bisects over grid indices, so an interval whose end counts agree is
+    never looked into: by the Sturm oscillation theorem it holds no level.
+    """
+    if shot(j)[1] == shot(k)[1]:
+        return
+    if k == j + 1:
+        yield j
+        return
+    mid = (j + k) // 2
+    yield from _count_cells(shot, j, mid)
+    yield from _count_cells(shot, mid, k)
+
+
+def _replayed_bisection(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float, single: bool
+) -> float:
+    """Where plain bisection of [a, b] stops, with f(a) and f(b) of opposite signs.
+
+    The path is that of bisection evaluating f at every midpoint: the half
+    whose ends differ in sign is kept until the bracket is _STOP wide
+    (relative) or a midpoint is an exact zero, and the bracket's midpoint
+    is returned.  When [a, b] holds a single sign change (``single``),
+    Illinois regula falsi (Dowell & Jarratt 1971) first shrinks an inner
+    bracket [c, d] around it; a midpoint outside [c, d] then takes the side
+    that the inner bracket shows without an evaluation.  A stalled Illinois
+    step leaves the inner bracket wide, and each midpoint in it is
+    evaluated.  Signs are compared, not products, which can underflow.
+    """
+    left_negative = fa < 0.0
+    c, d = a, b
+    if single:
+        fc, fd_ = fa, fb
+        kept = 0                      # +1: d was kept by the last step, -1: c
+        width = _STOP * max(1.0, abs(a), abs(b)) / _INNER
+        for _ in range(_ILLINOIS_STEPS):
+            if d - c <= width:
+                break
+            x = d - fd_ * (d - c) / (fd_ - fc)
+            if not c < x < d:
+                break
+            fx = f(x)
+            if fx == 0.0:
+                c = d = x
+                break
+            if (fx < 0.0) == left_negative:
+                c, fc = x, fx
+                if kept == 1:
+                    fd_ *= 0.5
+                kept = 1
+            else:
+                d, fd_ = x, fx
+                if kept == -1:
+                    fc *= 0.5
+                kept = -1
+
+    for _ in range(_HALVINGS):
+        m = 0.5 * (a + b)
+        if c <= m <= d:
+            fm = f(m)
+            if fm == 0.0:
+                return m
+            right = (fm < 0.0) != left_negative
+            if right:
+                d = m
+            else:
+                c = m
+        else:
+            right = m > d
+        if right:
+            b = m
+        else:
+            a = m
+        if abs(b - a) <= _STOP * max(1.0, abs(a)):
+            break
+    return 0.5 * (a + b)
 
 
 def shooting_bound_levels(
@@ -499,47 +521,58 @@ def shooting_bound_levels(
 ) -> list[float]:
     """Reduced eigenvalues located by outward shooting to a Dirichlet wall.
 
-    Scans 96 energies across [eps_lo, eps_hi] for sign changes of the
-    end value and bisects each bracket.  Meant for the lowest couple of
-    states, as a check on the matrix route with different discretization
-    error.  For levels that decay outside a well, place the wall a few
-    decay lengths past the edge: every integration error rides the
-    growing branch, so a far wall amplifies it exponentially while buying
-    almost nothing.
+    The lowest ``count`` levels whose end value u(r_max) changes sign
+    between neighbours of a 96-energy grid across [eps_lo, eps_hi], each
+    bisected to a relative width of 1e-12, plus any grid energy (but the
+    last) where u(r_max) is exactly zero.  The scan shoots every 8th grid
+    energy and the last, in order, until it has ``count`` levels.  By
+    the Sturm oscillation theorem the node count of u is the number of
+    walled levels below the energy, so a sampled interval whose end
+    counts agree holds no level and is not shot inside; elsewhere,
+    bisection over grid indices finds each cell whose count changes,
+    also when two levels share one sampled interval.  Within a cell
+    holding one level, Illinois steps let the bisection skip the
+    evaluations whose sign is already known, so every result equals that
+    of a dense scan and plain bisection.
+
+    Meant for the lowest few states, as a check on the matrix route with
+    different discretization error.  For levels that decay outside a well,
+    place the wall a few decay lengths past the edge: every integration
+    error rides the growing branch, so a far wall amplifies it
+    exponentially while buying almost nothing.
     """
     if not (eps_hi > eps_lo and math.isfinite(eps_lo) and math.isfinite(eps_hi)):
         raise DomainError("shooting scan needs a finite ordered energy window")
     if not (r_max > 0.0 and math.isfinite(r_max)):
         raise DomainError(f"shooting wall must be positive and finite, got {r_max!r}")
 
-    grid_eps = np.linspace(eps_lo, eps_hi, 96)
-    # the scan's shots are independent, so they run as lanes; the
-    # bisection below is sequential and keeps the scalar sweep
-    shots = [_shoot_setup(dim, pot, float(e), r_max, scales) for e in grid_eps]
-    values = _rk4_lanes(shots, dim.nu, grid_eps)[0].tolist()
+    grid = np.linspace(eps_lo, eps_hi, 96).tolist()
+    last = len(grid) - 1
+    shots: dict[int, tuple[float, int]] = {}
+
+    def shot(i: int) -> tuple[float, int]:
+        if i not in shots:
+            shots[i] = _shoot_residual(dim, pot, grid[i], r_max, scales)
+        return shots[i]
+
+    def residual(eps: float) -> float:
+        return _shoot_residual(dim, pot, eps, r_max, scales)[0]
+
+    samples = list(range(0, last, _STRIDE)) + [last]
     roots: list[float] = []
-    for i in range(len(grid_eps) - 1):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo == 0.0:
-            roots.append(float(grid_eps[i]))
-            continue
-        if f_lo * f_hi >= 0.0:
-            continue
-        a, b = float(grid_eps[i]), float(grid_eps[i + 1])
-        fa = f_lo
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = _shoot_residual(dim, pot, m, r_max, scales)
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if abs(b - a) <= 1e-12 * max(1.0, abs(a)):
-                break
-        roots.append(0.5 * (a + b))
-        if len(roots) >= count:
-            break
-    return roots[:count]
+    zero_at = -1
+    for j, k in zip(samples, samples[1:]):
+        for i in _count_cells(shot, j, k):
+            (f_lo, n_lo), (f_hi, n_hi) = shot(i), shot(i + 1)
+            # u(r_max) crosses zero on a grid energy inside a cell whose
+            # count changes; that energy is the level, unless it is the last
+            for z in (i, i + 1):
+                if zero_at < z < last and shots[z][0] == 0.0:
+                    roots.append(grid[z])
+                    zero_at = z
+            if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0):
+                roots.append(_replayed_bisection(
+                    residual, grid[i], grid[i + 1], f_lo, f_hi, n_hi - n_lo == 1))
+            if len(roots) >= count:
+                return roots[:count]
+    return roots

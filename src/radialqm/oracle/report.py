@@ -23,6 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .. import __version__
+from ..errors import ComputationError
 from ..radial.model import (
     DeltaShell,
     Dimension,
@@ -62,6 +63,9 @@ _SHOOTING_TOL = 1e-6
 _SCATTERING_TOL = 1e-6
 _SHELL_BOUND_TOL = 1e-7
 
+# the well of the finite-well and shooting rows
+_WELL = "n = 2 finite well (V0 = 18, R = 1)"
+
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -99,6 +103,15 @@ def _row(
         converged=gap <= budget,
     )
     return row, budget
+
+
+def _levels(found: Sequence, count: int, what: str) -> Sequence:
+    """The first ``count`` entries of ``found``; ComputationError naming the first missing level."""
+    if len(found) < count:
+        raise ComputationError(
+            f"the report needs {count} levels of the {what}, but level {len(found) + 1} is missing"
+        )
+    return found[:count]
 
 
 def _extrapolated_rows(
@@ -157,7 +170,7 @@ def _oscillator_rows(sc: PhysicalScales) -> List[_Pair]:
 def _finite_well_rows(sc: PhysicalScales) -> List[_Pair]:
     # the step at R = 1 sits on a cell edge of all three grids
     dim = Dimension(2)
-    closed = finite_well_bound_spectrum(dim, 18.0, 1.0, sc)
+    closed = _levels(finite_well_bound_spectrum(dim, 18.0, 1.0, sc), 2, _WELL)
     cases = [(f"finite_well_n2_N{i + 1}", closed[i][0].eps, i) for i in (0, 1)]
     return _extrapolated_rows(cases, dim, FiniteWell(V0=18.0, R=1.0), 6.0, 6000, 2, _SPECTRUM_TOL, sc)
 
@@ -191,17 +204,23 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
     osc = Harmonic(omega=1.0)
     closed = oscillator_spectrum(dim1, 1.0, 2, sc)
     lo, hi = 0.5 * closed[0].eps, 1.2 * closed[1].eps
-    got = shooting_bound_levels(dim1, osc, 7.0, lo, hi, sc, count=2)
-    chk = shooting_bound_levels(dim1, osc, 8.0, lo, hi, sc, count=2)
+    got, chk = (
+        _levels(shooting_bound_levels(dim1, osc, wall, lo, hi, sc, count=2), 2,
+                f"n = 1 oscillator shot to a wall at {wall}")
+        for wall in (7.0, 8.0)
+    )
     for k in (0, 1):
         out.append(_row(f"shooting_oscillator_n1_N{k}", closed[k].eps, got[k], chk[k], _SHOOTING_TOL))
 
     dim2 = Dimension(2)
     pot = FiniteWell(V0=18.0, R=1.0)
-    deepest = finite_well_bound_spectrum(dim2, 18.0, 1.0, sc)[0][0]
+    deepest = _levels(finite_well_bound_spectrum(dim2, 18.0, 1.0, sc), 1, _WELL)[0][0]
     lo, hi = -1.1 * deepest.eps, -0.9 * deepest.eps
-    got = shooting_bound_levels(dim2, pot, 3.0, lo, hi, sc, count=1)
-    chk = shooting_bound_levels(dim2, pot, 3.5, lo, hi, sc, count=1)
+    got, chk = (
+        _levels(shooting_bound_levels(dim2, pot, wall, lo, hi, sc, count=1), 1,
+                f"{_WELL} shot to a wall at {wall}")
+        for wall in (3.0, 3.5)
+    )
     out.append(_row("shooting_finite_well_n2_N1", -deepest.eps, got[0], chk[0], _SHOOTING_TOL))
     return out
 

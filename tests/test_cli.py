@@ -405,3 +405,11 @@ def test_every_rejected_parameter_has_a_pinned_message(argv, message):
     code, out, err = run_cli(argv)
     assert (code, out) == (2, "")
     assert json.loads(err) == {"error": {"code": 2, "message": message}}
+
+
+def test_validate_where_the_report_well_binds_one_level_exits_3():
+    # at mass 0.5 the V0 = 18, R = 1, n = 2 well holds one level; the
+    # finite-well rows need two
+    code, out, err = run_cli(["validate", "--mass", "0.5"])
+    assert code == 3 and out == ""
+    assert "level 2 is missing" in json.loads(err)["error"]["message"]

@@ -9,10 +9,10 @@ import pytest
 
 from radialqm.errors import DomainError, MatchingError
 from radialqm.oracle import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
-from radialqm.oracle.fd import _rk4_lanes, _rk4_sweep, _shoot_setup
+from radialqm.oracle.fd import _shoot_residual
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import DeltaShell, FiniteWell, Free, Harmonic, InfiniteWell
-from radialqm.solvers import delta_scattering, finite_well_scattering
+from radialqm.solvers import delta_scattering, finite_well_scattering, oscillator_spectrum
 from radialqm.specfun import bessel_j_zero
 
 
@@ -127,48 +127,86 @@ def test_shooting_validation(scales):
         shooting_bound_levels(Dimension(1), InfiniteWell(1.0), 1.0, 5.0, 50.0, scales)
 
 
-def _lane_steps(segments):
-    return sum(max(4, math.ceil((b - a) / t)) for a, b, t, _ in segments if b > a)
+def _dense_shooting(dim, pot, r_max, eps_lo, eps_hi, scales, count):
+    # every grid energy shot, every midpoint evaluated: the scan and
+    # bisection that the node counts and the Illinois steps shortcut
+    grid_eps = np.linspace(eps_lo, eps_hi, 96)
+    values = [_shoot_residual(dim, pot, float(e), r_max, scales)[0] for e in grid_eps]
+    roots = []
+    for i in range(len(grid_eps) - 1):
+        f_lo, f_hi = values[i], values[i + 1]
+        if f_lo == 0.0:
+            roots.append(float(grid_eps[i]))
+            continue
+        if f_lo * f_hi >= 0.0:
+            continue
+        a, b = float(grid_eps[i]), float(grid_eps[i + 1])
+        fa = f_lo
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            fm = _shoot_residual(dim, pot, m, r_max, scales)[0]
+            if fm == 0.0:
+                a = b = m
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+            if abs(b - a) <= 1e-12 * max(1.0, abs(a)):
+                break
+        roots.append(0.5 * (a + b))
+        if len(roots) >= count:
+            break
+    return roots[:count]
 
 
-def _assert_lanes_match_sweeps(shots, nu, eps):
-    # the lanes call each potential on arrays, the sweep on floats: both
-    # must round alike, or a lane drifts from its sweep by an ulp
-    for segments, _ in shots:
-        for a, b, _, v_of_r in segments:
-            r = np.linspace(a, b, 257)
-            assert (np.zeros_like(r) + v_of_r(r)).tolist() == [v_of_r(x) for x in r.tolist()]
-    u, p = _rk4_lanes(shots, nu, np.array(eps))
-    assert len({_lane_steps(seg) for seg, _ in shots}) > 1
-    for j, (segments, y0) in enumerate(shots):
-        assert (u[j], p[j]) == _rk4_sweep(segments, nu, eps[j], y0)
+def _seeded_windows(seed, number, scales):
+    # harmonic and finite-well windows holding one to three levels, the
+    # window ends drawn apart from the levels
+    rng = random.Random(seed)
+    for w in range(number):
+        dim = Dimension(rng.randrange(6))
+        count = rng.randint(1, 3)
+        if w % 2 == 0:
+            omega = rng.uniform(0.5, 3.0)
+            mu = scales.oscillator_scale(omega)
+            levels = [2.0 * mu * (2 * k + dim.nu + 1.0) for k in range(count + 1)]
+            wall = rng.uniform(1.2, 1.6) * math.sqrt(levels[-1]) / mu + rng.uniform(1.0, 2.0) / math.sqrt(mu)
+            lo = rng.uniform(0.2, 0.95) * levels[0]
+            hi = rng.uniform(1.02 * levels[count - 1], 0.98 * levels[count])
+            yield dim, Harmonic(omega), wall, lo, hi, count
+        else:
+            V0, R = rng.uniform(5.0, 60.0), rng.uniform(0.5, 2.0)
+            v0 = scales.reduced_potential(V0)
+            wall = rng.uniform(2.0, 3.5) * R
+            yield dim, FiniteWell(V0, R), wall, -v0 * rng.uniform(0.95, 1.0), -v0 * rng.uniform(0.02, 0.3), count
 
 
-@pytest.mark.parametrize("n", (0, 1, 2, 5))
-def test_lane_sweeps_equal_scalar_sweeps_harmonic(n, scales):
-    rng = random.Random(1000 + n)
-    dim = Dimension(n)
-    shots, eps = [], []
-    for _ in range(12):
-        omega = rng.uniform(0.5, 3.0)
-        wall = rng.uniform(5.0, 9.0)
-        e = rng.uniform(0.5, 4.0 * omega * (n + 3))
-        shots.append(_shoot_setup(dim, Harmonic(omega), e, wall, scales))
-        eps.append(e)
-    _assert_lanes_match_sweeps(shots, dim.nu, eps)
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_shooting_equals_dense_scan_and_bisection(seed, scales):
+    found = 0
+    for dim, pot, wall, lo, hi, count in _seeded_windows(seed, 8, scales):
+        got = shooting_bound_levels(dim, pot, wall, lo, hi, scales, count)
+        assert got == _dense_shooting(dim, pot, wall, lo, hi, scales, count)
+        found += len(got)
+    assert found >= 8
 
 
-@pytest.mark.parametrize("n", (0, 1, 2, 5))
-def test_lane_sweeps_equal_scalar_sweeps_finite_well(n, scales):
-    rng = random.Random(2000 + n)
-    dim = Dimension(n)
-    shots, eps = [], []
-    for _ in range(12):
-        V0 = rng.uniform(2.0, 40.0)
-        R = rng.uniform(0.5, 2.0)
-        v0 = scales.reduced_potential(V0)
-        # energies inside the well (-v0 < eps < 0) and above it
-        e = rng.uniform(-v0, 0.0) if rng.random() < 0.5 else rng.uniform(0.0, v0)
-        shots.append(_shoot_setup(dim, FiniteWell(V0, R), e, rng.uniform(2.0, 4.0) * R, scales))
-        eps.append(e)
-    _assert_lanes_match_sweeps(shots, dim.nu, eps)
+def test_two_levels_in_one_sampled_interval(scales):
+    # mu = 1, n = 1: levels 2, 6, 10; the scan samples every 8th of 96
+    # energies on [1, 61], so 2 and 6 share the first sampled interval
+    # [1, 6.05], where u(r_max) has the same sign at both ends
+    grid = np.linspace(1.0, 61.0, 96)
+    assert grid[0] < 2.0 < 6.0 < grid[8] < 10.0
+    got = shooting_bound_levels(Dimension(1), Harmonic(1.0), 7.0, 1.0, 61.0, scales, count=3)
+    assert got == _dense_shooting(Dimension(1), Harmonic(1.0), 7.0, 1.0, 61.0, scales, 3)
+    assert got == pytest.approx([2.0, 6.0, 10.0], rel=1e-6)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_node_count_is_the_number_of_levels_below(n, scales):
+    # Sturm oscillation: the regular solution has one node per level below eps
+    levels = [lv.eps for lv in oscillator_spectrum(Dimension(n), 1.0, 5, scales)]
+    probes = [0.5 * levels[0]] + [0.5 * (a + b) for a, b in zip(levels, levels[1:])]
+    for below, eps in enumerate(probes):
+        assert _shoot_residual(Dimension(n), Harmonic(1.0), eps, 8.0, scales)[1] == below

@@ -201,3 +201,19 @@ def test_a_second_report_repeats_the_bytes_and_the_series_work(report, monkeypat
     monkeypatch.setattr(report_module, "series_reference", counted)
     assert json.dumps(validation_report()) == json.dumps(report)
     assert len(calls) == len(set(calls)) == 38
+
+
+def test_a_report_makes_at_most_140_sweeps_and_no_lane_batch(monkeypatch):
+    # 94 shooting sweeps and 16 scattering sweeps; plain bisection of the
+    # six shooting brackets alone takes 200
+    calls = []
+    sweep = fd._rk4_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(fd, "_rk4_sweep", counted)
+    validation_report()
+    assert len(calls) <= 140
+    assert not [name for name in vars(fd) if "lane" in name]

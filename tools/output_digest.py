@@ -7,7 +7,8 @@ the one holding this file, or ``--root``):
 
 * every CLI example in README.md except ``validate``, once with
   ``--format csv`` and once with ``--format json``;
-* ``validate`` at the default scales and at ``--mass 1.25``;
+* ``validate`` at the default scales and at ``--mass`` 1.25, 2.0 and 0.5
+  (where the report's finite well binds one level and the run exits 3);
 * ``--rounds`` rounds of the ``scan`` and ``solve`` generators of
   ``bench/workloads.py`` at each seed of ``--seeds``; the transmission
   operations are library calls, recorded as the ``repr`` of the result.
@@ -92,7 +93,8 @@ def records(root: Path, rounds: int, seeds: list):
         for fmt in ("csv", "json"):
             yield run_cli(cli, argv + ["--format", fmt])
     yield run_cli(cli, ["validate"])
-    yield run_cli(cli, ["validate", "--mass", "1.25"])
+    for mass in ("1.25", "2.0", "0.5"):
+        yield run_cli(cli, ["validate", "--mass", mass])
     for seed in seeds:
         for workload in ("scan", "solve"):
             stream = workloads.rounds(workload, seed)
