@@ -167,25 +167,31 @@ def _oscillator_rows(sc: PhysicalScales) -> List[_Pair]:
     return out
 
 
-def _finite_well_rows(sc: PhysicalScales) -> List[_Pair]:
+def _finite_well_rows(sc: PhysicalScales, well: Sequence) -> List[_Pair]:
     # the step at R = 1 sits on a cell edge of all three grids
     dim = Dimension(2)
-    closed = _levels(finite_well_bound_spectrum(dim, 18.0, 1.0, sc), 2, _WELL)
+    closed = _levels(well, 2, _WELL)
     cases = [(f"finite_well_n2_N{i + 1}", closed[i][0].eps, i) for i in (0, 1)]
     return _extrapolated_rows(cases, dim, FiniteWell(V0=18.0, R=1.0), 6.0, 6000, 2, _SPECTRUM_TOL, sc)
 
 
-def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
+def _shell_pair(sc: PhysicalScales) -> Tuple:
+    """The attractive and the barrier n = 1 shell (g = 1.5, R = 1) scattered at eps = 5."""
+    gamma = sc.reduced_coupling(1.5)
+    return tuple(delta_scattering(Dimension(1), g, 1.0, 5.0, sc) for g in (-gamma, gamma))
+
+
+def _scattering_rows(sc: PhysicalScales, shells: Tuple) -> List[_Pair]:
     # matching radii of each row and of its check
     near, far = 2.5, 3.25
     dim1, dim2 = Dimension(1), Dimension(2)
-    gamma = sc.reduced_coupling(1.5)
+    attractive, barrier = shells
     cases = (
         ("free_interior_intensity", dim1, Free(), 2.0, 4.0, 1e-8),
         ("delta_scattering_attractive_n1", dim1, DeltaShell(g=1.5, sign=-1, R=1.0), 5.0,
-         delta_scattering(dim1, -gamma, 1.0, 5.0, sc).interior_intensity, _SCATTERING_TOL),
+         attractive.interior_intensity, _SCATTERING_TOL),
         ("delta_scattering_barrier_n1", dim1, DeltaShell(g=1.5, sign=1, R=1.0), 5.0,
-         delta_scattering(dim1, gamma, 1.0, 5.0, sc).interior_intensity, _SCATTERING_TOL),
+         barrier.interior_intensity, _SCATTERING_TOL),
         ("finite_well_scattering_n2", dim2, FiniteWell(V0=5.0, R=1.0), 2.0,
          finite_well_scattering(dim2, 5.0, 1.0, 2.0, sc).interior_intensity, _SCATTERING_TOL),
     )
@@ -197,7 +203,7 @@ def _scattering_rows(sc: PhysicalScales) -> List[_Pair]:
     return out
 
 
-def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
+def _shooting_rows(sc: PhysicalScales, well: Sequence) -> List[_Pair]:
     out: List[_Pair] = []
 
     dim1 = Dimension(1)
@@ -214,7 +220,7 @@ def _shooting_rows(sc: PhysicalScales) -> List[_Pair]:
 
     dim2 = Dimension(2)
     pot = FiniteWell(V0=18.0, R=1.0)
-    deepest = _levels(finite_well_bound_spectrum(dim2, 18.0, 1.0, sc), 1, _WELL)[0][0]
+    deepest = _levels(well, 1, _WELL)[0][0]
     lo, hi = -1.1 * deepest.eps, -0.9 * deepest.eps
     got, chk = (
         _levels(shooting_bound_levels(dim2, pot, wall, lo, hi, sc, count=1), 1,
@@ -275,11 +281,14 @@ def _printed_oscillator_mass() -> float:
     return float(np.trapezoid(f, r))
 
 
-def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Dict]:
+def _discrepancies(
+    sc: PhysicalScales, rows: Dict[str, OracleReport], well: Sequence, shells: Tuple
+) -> List[Dict]:
     """Every printed-formula mismatch, with freshly computed evidence.
 
     rows holds the report's comparison rows by id; an entry that cites the
-    oracle copies the swept or discretized values from them.
+    oracle copies the swept or discretized values from them.  well is the
+    V0 = 18 spectrum and shells the signed shell pair of the comparison rows.
     """
     entries: List[Dict] = []
     dim1 = Dimension(1)
@@ -435,7 +444,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
         }
     )
 
-    level, root = finite_well_bound_spectrum(dim2, 18.0, 1.0, sc)[0]
+    level, root = well[0]
     v0 = sc.reduced_potential(18.0)
     q = math.sqrt(v0 - level.eps)
     kp = math.sqrt(level.eps)
@@ -486,8 +495,7 @@ def _discrepancies(sc: PhysicalScales, rows: Dict[str, OracleReport]) -> List[Di
         }
     )
 
-    sa = delta_scattering(dim1, -sc.reduced_coupling(1.5), 1.0, 5.0, sc)
-    sb = delta_scattering(dim1, sc.reduced_coupling(1.5), 1.0, 5.0, sc)
+    sa, sb = shells
     entries.append(
         {
             "id": "well_barrier_sign_claim",
@@ -526,13 +534,15 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
     there as a failure.
     """
     sc = PhysicalScales() if sc is None else sc
+    well = finite_well_bound_spectrum(Dimension(2), 18.0, 1.0, sc)
+    shells = _shell_pair(sc)
     with series_memo():
         pairs = (
             _well_rows(sc)
             + _oscillator_rows(sc)
-            + _finite_well_rows(sc)
-            + _scattering_rows(sc)
-            + _shooting_rows(sc)
+            + _finite_well_rows(sc, well)
+            + _scattering_rows(sc, shells)
+            + _shooting_rows(sc, well)
             + _series_rows()
             + _shell_bound_rows(sc)
         )
@@ -547,7 +557,7 @@ def validation_report(sc: PhysicalScales | None = None) -> Dict:
         },
         "rows": [asdict(row) for row, _ in pairs],
         "all_converged": bool(within and converged),
-        "discrepancies": _discrepancies(sc, {row.id: row for row, _ in pairs}),
+        "discrepancies": _discrepancies(sc, {row.id: row for row, _ in pairs}, well, shells),
     }
 
 

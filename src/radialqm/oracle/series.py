@@ -5,10 +5,17 @@ kernels.  Everything is computed from the defining ascending power series with
 an explicit geometric truncation bound, at a working precision that is raised
 until two successive evaluations agree to the requested number of digits.
 
-mpmath supplies only the big-float arithmetic and the constants (pi, euler,
-plus one Gamma seed per series).  The series themselves, the integer-order
-logarithmic series for the second-kind functions and the truncation control
-live here; mpmath's own Bessel implementations are never called, so this
+The power series are summed in scaled integers.  The order and the argument
+enter as the exact rationals their doubles stand for, so each term follows
+from the one before by one integer multiply and one integer division, and the
+truncation bound is decided exactly in integers.  Each sum is kept relative to
+its leading term, with _GUARD_BITS more bits than the working precision, so
+it keeps its accuracy relative to the largest term.
+
+mpmath supplies the leading term of each series (the power (x/2)^nu and one
+Gamma seed), log, pi, Euler's constant, the sine and cosine of the
+connection formulas, the short finite part of the logarithmic series and the
+returned mpf.  mpmath's own Bessel implementations are never called, so this
 module and the production kernels share no code path.
 """
 from __future__ import annotations
@@ -20,60 +27,99 @@ FUNCTIONS = ("bessel_j", "bessel_y", "bessel_i", "bessel_k")
 MAX_X = 30.0
 MAX_DIGITS = 50
 _MAX_TERMS = 4000
+# bits kept below the working precision by the scaled-integer sums
+_GUARD_BITS = 24
 
 
 class SeriesDomainError(ValueError):
     """Argument outside the supported reference domain."""
 
 
+def _fraction(v):
+    """(p, q) with v = p / q exactly and q > 0 a power of two; v is an mpf."""
+    sign, man, exp, _ = v._mpf_
+    if sign:
+        man = -man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+
+
+def _stop_rule(lead, wbits):
+    """The truncation tolerance in integers, for sums scaled to lead / 2^wbits.
+
+    Returns (p, fn, fd) with p = 10^(dps-6), the inverse tolerance, and
+    fn / fd = 10^(-2 dps) / |lead| * 2^wbits, the floor 10^(-2 dps) below
+    which the bound is taken absolute instead of relative to the sum.
+    """
+    man, exp = abs(lead).man_exp
+    p, fd = 10 ** (mp.dps - 6), 10 ** (2 * mp.dps) * man
+    shift = wbits - exp
+    return (p, 1 << shift, fd) if shift >= 0 else (p, 1, fd << -shift)
+
+
+def _tail_within(bound, bound_den, total, rule):
+    """Whether bound / bound_den <= 10^-(dps-6) * max(|total|, floor), exactly."""
+    p, fn, fd = rule
+    scaled = bound * p
+    return scaled <= bound_den * abs(total) or scaled * fd <= bound_den * fn
+
+
 def _first_kind_series(nu, x, alternating):
     """sum_k s^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)) at current precision.
 
-    s = -1 gives J_nu, s = +1 gives I_nu.  The tail after the last added term
-    is bounded geometrically once the term ratio has dropped below 1/2, which
-    is guaranteed for k >= nu; the bound must fall below 10^-(dps-6) relative
-    to the partial sum before the loop may stop.
+    s = -1 gives J_nu, s = +1 gives I_nu.  With nu = a/b and x^2/4 = zn/zd the
+    term ratio is s zn b / (zd (k+1) (a + (k+1) b)).  The tail after the last
+    added term is bounded geometrically once the ratio has dropped below 1/2,
+    which is guaranteed for k >= nu; the bound must fall below 10^-(dps-6)
+    relative to the partial sum before the loop may stop.
     """
-    z = x * x / 4
-    sign = -1 if alternating else 1
-    term = (x / 2) ** nu / mp.gamma(nu + 1)
-    total = term
-    tol = mp.mpf(10) ** (-(mp.dps - 6))
-    half = mp.mpf("0.5")
-    scale = mp.mpf(10) ** (-2 * mp.dps)
+    a, b = _fraction(nu)
+    zn, zd = _fraction(x)
+    zn, zd = zn * zn, 4 * zd * zd
+    num = -zn * b if alternating else zn * b
+    lead = (x / 2) ** nu / mp.gamma(nu + 1)
+    wbits = mp.prec + _GUARD_BITS
+    rule = _stop_rule(lead, wbits)
+    term = total = 1 << wbits
+    den = zd * (a + b)
     for k in range(_MAX_TERMS):
-        term = sign * term * z / ((k + 1) * (nu + k + 1))
+        term = term * num // den
         total += term
-        ratio = z / ((k + 2) * abs(nu + k + 2))
-        if k + 2 > abs(nu) and ratio < half:
-            tail_bound = 2 * abs(term) * ratio
-            if tail_bound <= tol * max(abs(total), scale):
-                return total
+        den = zd * (k + 2) * (a + (k + 2) * b)
+        # ratio of the next term: |num| / |den| < 1/2
+        if (k + 2) * b > abs(a) and 2 * abs(num) < abs(den):
+            if _tail_within(2 * abs(term * num), abs(den), total, rule):
+                return lead * mp.ldexp(total, -wbits)
     raise ArithmeticError("series truncation bound not reached")
 
 
 def _harmonic_series_part(m, x, alternating):
-    """sum_k s^k (H_k + H_{m+k}) (x^2/4)^k / (k! (m+k)!) at current precision."""
-    z = x * x / 4
-    sign = -1 if alternating else 1
-    h_k = mp.mpf(0)
-    h_mk = mp.fsum(mp.mpf(1) / j for j in range(1, m + 1))
-    coeff = mp.mpf(1) / mp.factorial(m)
-    total = (h_k + h_mk) * coeff
-    tol = mp.mpf(10) ** (-(mp.dps - 6))
-    scale = mp.mpf(10) ** (-2 * mp.dps)
-    eighth = mp.mpf("0.125")
+    """sum_k s^k (H_k + H_{m+k}) (x^2/4)^k / (k! (m+k)!) at current precision.
+
+    The harmonic numbers are scaled integers too, on the sum's 2^wbits scale.
+    """
+    zn, zd = _fraction(x)
+    zn, zd = zn * zn, 4 * zd * zd
+    num = -zn if alternating else zn
+    lead = 1 / mp.factorial(m)
+    wbits = mp.prec + _GUARD_BITS
+    one = 1 << wbits
+    rule = _stop_rule(lead, wbits)
+    h_k = 0
+    h_mk = sum(one // j for j in range(1, m + 1))
+    coeff = one
+    total = h_mk
+    den = zd * (m + 1)
     for k in range(1, _MAX_TERMS):
-        coeff = sign * coeff * z / (k * (m + k))
-        h_k += mp.mpf(1) / k
-        h_mk += mp.mpf(1) / (m + k)
-        term = (h_k + h_mk) * coeff
+        coeff = coeff * num // den
+        h_k += one // k
+        h_mk += one // (m + k)
+        term = (h_k + h_mk) * coeff >> wbits
         total += term
-        ratio = z / ((k + 1) * (m + k + 1))
-        if ratio < eighth:
-            tail_bound = 4 * abs(term) * ratio
-            if tail_bound <= tol * max(abs(total), scale):
-                return total
+        den = zd * (k + 1) * (m + k + 1)
+        # ratio of the next coefficient: |num| / den < 1/8
+        if 8 * abs(num) < den:
+            if _tail_within(4 * abs(term * num), den, total, rule):
+                return lead * mp.ldexp(total, -wbits)
     raise ArithmeticError("series truncation bound not reached")
 
 

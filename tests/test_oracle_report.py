@@ -5,15 +5,21 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import pytest
 
 from radialqm.cli import main
-from radialqm.oracle import OracleReport, fd, validation_report
+from radialqm.oracle import OracleReport, fd, series, validation_report
 from radialqm.oracle import report as report_module
 from radialqm.oracle.series import series_reference
 from radialqm.radial import Dimension, PhysicalScales
 from radialqm.radial.model import Harmonic
-from radialqm.solvers import delta_bound_energy, infinite_well_spectrum, oscillator_spectrum
+from radialqm.solvers import (
+    delta_bound_energy,
+    finite_well_bound_spectrum,
+    infinite_well_spectrum,
+    oscillator_spectrum,
+)
 
 REQUIRED_DISCREPANCIES = {
     "printed_infinite_well_norm_constant",
@@ -67,10 +73,14 @@ def test_every_spectrum_family_converges_at_second_order(monkeypatch):
         solves.append((grid.points, [lv.eps for lv in levels]))
         return levels
 
+    def finite_well_rows(sc):
+        well = finite_well_bound_spectrum(Dimension(2), 18.0, 1.0, sc)
+        return report_module._finite_well_rows(sc, well)
+
     monkeypatch.setattr(report_module, "fd_bound_spectrum", recorded)
     sc = PhysicalScales()
     families = (report_module._well_rows, report_module._oscillator_rows,
-                report_module._finite_well_rows, report_module._shell_bound_rows)
+                finite_well_rows, report_module._shell_bound_rows)
     for rows in families:
         solves.clear()
         rows(sc)
@@ -201,6 +211,28 @@ def test_a_second_report_repeats_the_bytes_and_the_series_work(report, monkeypat
     monkeypatch.setattr(report_module, "series_reference", counted)
     assert json.dumps(validation_report()) == json.dumps(report)
     assert len(calls) == len(set(calls)) == 38
+
+
+def test_every_report_reference_is_proven_at_two_precisions(monkeypatch):
+    # a reference's digits are claimed only after evaluations at two
+    # working precisions agree
+    precisions = []
+    evaluate = series._eval_once
+
+    def traced_eval(*args):
+        precisions[-1].add(mpmath.mp.prec)
+        return evaluate(*args)
+
+    def traced(*args, **kwargs):
+        precisions.append(set())
+        return series_reference(*args, **kwargs)
+
+    monkeypatch.setattr(series, "_eval_once", traced_eval)
+    monkeypatch.setattr(fd, "series_reference", traced)
+    monkeypatch.setattr(report_module, "series_reference", traced)
+    validation_report()
+    assert len(precisions) == 38
+    assert min(len(seen) for seen in precisions) >= 2
 
 
 def test_a_report_makes_at_most_140_sweeps_and_no_lane_batch(monkeypatch):

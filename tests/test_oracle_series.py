@@ -1,8 +1,10 @@
 """Arbitrary-precision series oracle and the reference-table plumbing."""
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import random
 
 import mpmath as mp
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from radialqm.oracle import (
     SeriesDomainError,
     load_reference_table,
+    series,
     series_reference,
     write_reference_table,
 )
@@ -66,3 +69,47 @@ def test_reference_table_round_trips(tmp_path):
     for a, b in zip(fresh, frozen):
         assert (a.function, a.nu, a.x) == (b.function, b.nu, b.x)
         assert a.value_str == b.value_str
+
+
+# mpmath's own routines, which the oracle must not call, serve here as an
+# outside check of the digits it claims
+_MPMATH_CYLINDER = {
+    "bessel_j": mp.besselj,
+    "bessel_y": mp.bessely,
+    "bessel_i": mp.besseli,
+    "bessel_k": mp.besselk,
+}
+
+
+def _draw_order(rng, kind, function):
+    if kind == "integer":
+        # J and I have no reference at negative integer order
+        low = -2 if function in ("bessel_y", "bessel_k") else 0
+        return float(rng.randint(low, 50))
+    if kind == "half_integer":
+        return rng.randint(-3, 49) + 0.5
+    if kind == "generic":
+        return rng.uniform(0.0, 50.0)
+    return rng.uniform(-2.5, 0.0)
+
+
+def test_claimed_digits_hold_against_mpmath_bessel_routines():
+    rng = random.Random(19)
+    kinds = ("integer", "half_integer", "generic", "negative")
+    for function, kind, _ in itertools.product(_MPMATH_CYLINDER, kinds, range(2)):
+        nu = _draw_order(rng, kind, function)
+        x = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
+        digits = rng.choice((15, 25, 33, 50))
+        with mp.workdps(digits + 15):
+            ref = series_reference(function, nu, x, digits)
+            want = _MPMATH_CYLINDER[function](nu, x)
+            assert abs(ref - want) <= mp.mpf(10) ** (1 - digits) * abs(want), (function, nu, x, digits)
+
+
+def test_a_ladder_whose_evaluations_never_agree_raises(monkeypatch):
+    values = itertools.count(1)
+    monkeypatch.setattr(series, "_eval_once", lambda function, nu, x: mp.mpf(next(values)))
+    with pytest.raises(ArithmeticError):
+        series_reference("bessel_j", 0.5, 1.0, 20)
+    # every rung of the ladder was tried before giving up
+    assert next(values) == 9
