@@ -278,10 +278,9 @@ def _spectrum_rows(config: RunConfig) -> Tuple[List[Tuple], Optional[str]]:
     elif problem == "harmonic":
         levels = oscillator_spectrum(dim, float(p["omega"]), int(p["levels"]), sc)
     elif problem == "finite-well":
-        pairs = finite_well_bound_spectrum(dim, float(p["v0"]), float(p["radius"]), sc)
+        cut = int(p["levels"]) if "levels" in p else None
+        pairs = finite_well_bound_spectrum(dim, float(p["v0"]), float(p["radius"]), sc, cut)
         levels = [level for level, _ in pairs]
-        if "levels" in p:
-            levels = levels[: int(p["levels"])]
         if not levels:
             return [], "no bound level for this depth and radius"
     else:

@@ -156,10 +156,15 @@ def _k_integer(m, x):
 def _eval_once(function, nu, x):
     nearest = mp.nint(nu)
     is_integer = abs(nu - nearest) < mp.mpf(10) ** (-(mp.dps - 4))
-    if function == "bessel_j":
-        return _first_kind_series(nu, x, alternating=True)
-    if function == "bessel_i":
-        return _first_kind_series(nu, x, alternating=False)
+    if function in ("bessel_j", "bessel_i"):
+        alternating = function == "bessel_j"
+        if is_integer and nearest < 0:
+            # 1/Gamma(nu + 1) vanishes at a negative integer, where the series
+            # seed has a pole: J_{-m} = (-1)^m J_m and I_{-m} = I_m
+            m = int(-nearest)
+            val = _first_kind_series(mp.mpf(m), x, alternating)
+            return -val if alternating and m % 2 else val
+        return _first_kind_series(nu, x, alternating)
     if function == "bessel_y":
         if is_integer and nearest >= 0:
             return _y_integer(int(nearest), x)

@@ -34,7 +34,8 @@ class Dimension:
 
     @property
     def nu(self) -> float:
-        return float(self.nu_exact)
+        # float(nu_exact) for every int n, without building a Fraction
+        return 0.5 * (self.n - 1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from ..errors import require_positive
 from ..radial import BESSEL_J, Dimension
 from ..radial.norms import lommel_primitive
 from ..radial.quadrature import integrate
-from ..specfun.bessel_jy import bessel_j
+from ..specfun.bessel_jy import j_pair
 from .results import ClosureProbe
 
 _WINDOW_SIGMAS = 8.0
@@ -25,19 +25,14 @@ _QUAD_TOL = 1e-7
 _DIAGONAL_CUT = 1e-7
 
 
-def _j_pair(nu: float, x: float) -> Tuple[float, float]:
-    """(J_nu(x), J_{nu+1}(x))."""
-    return bessel_j(nu, x).value, bessel_j(nu + 1.0, x).value
-
-
 def _overlap(nu: float, a: float, k1: float, ja: Tuple[float, float], k2: float) -> float:
-    """Integral of r J_nu(k1 r) J_nu(k2 r) dr over (0, a); ja is _j_pair(nu, k1 a)."""
+    """Integral of r J_nu(k1 r) J_nu(k2 r) dr over (0, a); ja is j_pair(nu, k1 a)."""
     mean = 0.5 * (k1 + k2)
     if abs(k1 - k2) <= _DIAGONAL_CUT * mean:
         x = mean * a
-        return lommel_primitive(BESSEL_J, nu, a, x, *_j_pair(nu, x))
+        return lommel_primitive(BESSEL_J, nu, a, x, *j_pair(nu, x))
     ja0, ja1 = ja
-    jb0, jb1 = _j_pair(nu, k2 * a)
+    jb0, jb1 = j_pair(nu, k2 * a)
     return a * (k1 * ja1 * jb0 - k2 * ja0 * jb1) / (k1 * k1 - k2 * k2)
 
 
@@ -45,7 +40,7 @@ def _smeared(nu: float, a: float, k_fix: float, center: float, sigma: float) -> 
     lo = max(center - _WINDOW_SIGMAS * sigma, 0.0)
     hi = center + _WINDOW_SIGMAS * sigma
     # the fixed slot's values do not depend on the node
-    ja = _j_pair(nu, k_fix * a)
+    ja = j_pair(nu, k_fix * a)
 
     def integrand(q: float) -> float:
         arg = (q - center) / sigma

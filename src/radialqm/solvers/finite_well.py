@@ -14,7 +14,7 @@ interior and outgoing amplitudes against a unit incoming wave.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import ComputationError, DomainError, require_count, require_positive
 from ..radial import (
@@ -28,10 +28,10 @@ from ..radial import (
 )
 from ..radial.norms import normalize
 from ..specfun.bessel_ik import scaled_bessel_k, scaled_bessel_k_pair
-from ..specfun.bessel_jy import bessel_j, bessel_jy
+from ..specfun.bessel_jy import bessel_j, bessel_jy, j_pair
 from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
-from .rootfind import scan_roots, uniform_grid
+from .rootfind import iter_roots, uniform_grid
 
 _SCALED_COEFF_LIMIT = 330.0
 _EDGE = 1.0 - 1e-10
@@ -50,8 +50,9 @@ def _residual_factory(
         kr = math.sqrt(max(Q * Q - t * t, 0.0))
         kr = max(kr, 5e-324)
         k0, k1 = (r.value for r in scaled_bessel_k_pair(nu, kr))
-        first = (t / R) * bessel_j(nu + 1.0, t).value * k0
-        second = (kr / R) * k1 * bessel_j(nu, t).value
+        j0, j1 = j_pair(nu, t)
+        first = (t / R) * j1 * k0
+        second = (kr / R) * k1 * j0
         return first, second
 
     def residual(t: float) -> float:
@@ -66,22 +67,35 @@ def _residual_factory(
 
 
 def finite_well_bound_spectrum(
-    dim: Dimension, V0: float, R: float, scales: PhysicalScales
+    dim: Dimension,
+    V0: float,
+    R: float,
+    scales: PhysicalScales,
+    levels: Optional[int] = None,
 ) -> List[Tuple[EnergyLevel, TranscendentalRoot]]:
-    """All bound levels, shallowest binding last; empty list if none."""
+    """Bound levels, shallowest binding last; empty list if none.
+
+    All of them, or the first `levels` of them: the scan then stops once it
+    has that many, and bisects no root past the last one returned.
+    """
     V0 = require_positive("well depth", V0)
     R = require_positive("well radius", R)
+    if levels is not None:
+        levels = require_count("level count", levels, 1)
     v0 = scales.reduced_potential(V0)
     Q = math.sqrt(v0) * R
     nu = dim.nu
     residual, local_scale = _residual_factory(nu, Q, R)
     t_hi = Q * _EDGE
     grid = uniform_grid(t_hi * 1e-6, t_hi, 0.25 * math.pi)
-    # a zero where both terms underflow (high order, small t) is no root
-    scaled = [(root, local_scale(root[0])) for root in scan_roots(residual, grid)]
-    found = [(root, scale) for root, scale in scaled if scale > 0.0]
     out: List[Tuple[EnergyLevel, TranscendentalRoot]] = []
-    for N, ((t, res, (ta, tb)), scale) in enumerate(found, start=1):
+    N = 0
+    for t, res, (ta, tb) in iter_roots(residual, grid):
+        scale = local_scale(t)
+        # a zero where both terms underflow (high order, small t) is no root
+        if not scale > 0.0:
+            continue
+        N += 1
         eps_mag = (Q * Q - t * t) / (R * R)
         if not eps_mag > 0.0:
             continue
@@ -91,6 +105,8 @@ def finite_well_bound_spectrum(
         )
         root = TranscendentalRoot(eps=eps_mag, residual=rel_res, bracket=bracket)
         out.append((EnergyLevel.bound_magnitude(N, -eps_mag, scales), root))
+        if len(out) == levels:
+            break
     return out
 
 
@@ -99,7 +115,8 @@ def finite_well_bound_wavefunction(
 ) -> RadialWaveFunction:
     """Normalized N-th bound mode: oscillatory core, decaying tail."""
     N = require_count("mode index", N, 1)
-    spectrum = finite_well_bound_spectrum(dim, V0, R, scales)
+    # fewer than N levels means the scan ran to its end: that is the full count
+    spectrum = finite_well_bound_spectrum(dim, V0, R, scales, levels=N)
     if N > len(spectrum):
         raise DomainError(
             f"well holds {len(spectrum)} bound levels, index {N} out of range"
@@ -140,8 +157,7 @@ def finite_well_scattering(
     p = math.sqrt(eps + v0)
     x = k * R
     y = p * R
-    jt0 = bessel_j(nu, y).value
-    jt1 = bessel_j(nu + 1.0, y).value
+    jt0, jt1 = j_pair(nu, y)
     j0, j1, y0, y1 = (r.value for r in bessel_jy(nu, x))
     a, b = solve_interface(jt0, p * jt1, k, j0, j1, y0, y1)
     # printed closed form, kept verbatim for comparison

@@ -16,7 +16,7 @@ extremum has crossed zero, it bisects each side as above.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ComputationError, DomainError, require_count
 
@@ -91,10 +91,10 @@ def bisect(
     return root, f_root, (a, b)
 
 
-def scan_roots(
+def iter_roots(
     f: Callable[[float], float], grid: Sequence[float], stride: int = 1
-) -> List[RootRecord]:
-    """Bracketed roots of f on an increasing grid, bisected to full width.
+) -> Iterator[RootRecord]:
+    """Bracketed roots of f on an increasing grid, one at a time in grid order.
 
     f is evaluated at every stride-th grid point and at the last one.  A
     sign change between two samples is narrowed by bisecting over grid
@@ -104,6 +104,10 @@ def scan_roots(
     neighbours.  With stride 1 every grid point is evaluated.  A sample
     that turns toward zero has the grid between its sampled neighbours
     searched for a pair of crossings (see the module docstring).
+
+    The samples and the turn searches are made at the first step; each
+    bracket is narrowed only when the iteration reaches it, so a caller
+    that stops early skips the bisections of the roots it did not take.
     """
     stride = require_count("scan stride", stride, 1)
     size = len(grid)
@@ -141,23 +145,24 @@ def scan_roots(
 
     turns = [turn(j) for j in range(len(samples))]
     samples = sorted(set(samples).union(i for i in turns if i is not None))
-    out: List[RootRecord] = []
 
-    def zero_at(i: int, floor: int) -> None:
-        # report the run of zeros that ends at i at its first point, unless
-        # the run reaches back to floor, a sample where it was reported
+    def zero_at(i: int, floor: int) -> Optional[RootRecord]:
+        # the run of zeros that ends at i, reported at its first point,
+        # unless the run reaches back to floor, a sample where it was reported
         end = i
         while i > floor and value(i - 1) == 0.0:
             i -= 1
         if i == floor < end:
-            return
+            return None
         left = grid[i - 1] if i > 0 else grid[i]
         right = grid[i + 1] if i + 1 < size else grid[i]
-        out.append((grid[i], 0.0, (left, right)))
+        return grid[i], 0.0, (left, right)
 
     for j, a in enumerate(samples):
         if values[a] == 0.0:
-            zero_at(a, samples[j - 1] if j > 0 else 0)
+            root = zero_at(a, samples[j - 1] if j > 0 else 0)
+            if root is not None:
+                yield root
         if j + 1 == len(samples):
             break
         # a crossing lies between nonzero points: step off zeros at either end
@@ -172,12 +177,20 @@ def scan_roots(
             mid = (lo + hi) // 2
             fm = value(mid)
             if fm == 0.0:
-                zero_at(mid, lo)
+                root = zero_at(mid, lo)
+                if root is not None:
+                    yield root
                 break
             if (fm > 0.0) == (values[lo] > 0.0):
                 lo = mid
             else:
                 hi = mid
         else:
-            out.append(bisect(f, grid[lo], grid[hi], values[lo], values[hi]))
-    return out
+            yield bisect(f, grid[lo], grid[hi], values[lo], values[hi])
+
+
+def scan_roots(
+    f: Callable[[float], float], grid: Sequence[float], stride: int = 1
+) -> List[RootRecord]:
+    """Every root iter_roots finds, in grid order."""
+    return list(iter_roots(f, grid, stride))

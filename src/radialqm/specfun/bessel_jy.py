@@ -267,16 +267,32 @@ def _y_result(y: float, est_y: float) -> EvalResult:
     return EvalResult(y, est_y)
 
 
+def _j(nu: float, x: float):
+    """(J_nu, est_abs_error) for checked arguments, x > 0."""
+    if _series_region(nu, x):
+        return _j_series(nu, x)
+    j, _, est_j, _ = _engine(nu, x)
+    return j, est_j
+
+
 def bessel_j(nu: float, x: float) -> EvalResult:
     """J_nu(x) for nu >= -1/2, x >= 0."""
     nu, x = check_args("bessel_j", nu, x, origin=True)
     if x == 0.0:
         return origin_value(nu)
-    if _series_region(nu, x):
-        value, est = _j_series(nu, x)
-        return EvalResult(value, est)
-    j, _, est_j, _ = _engine(nu, x)
-    return EvalResult(j, est_j)
+    return EvalResult(*_j(nu, x))
+
+
+def j_pair(nu: float, x: float) -> Tuple[float, float]:
+    """(J_nu(x), J_{nu+1}(x)) as the floats bessel_j returns, x >= 0.
+
+    For callers inside the package that drop the error estimate at once:
+    the arguments are checked once and no EvalResult is built.
+    """
+    nu, x = check_args("bessel_j", nu, x, origin=True)
+    if x == 0.0:
+        return origin_value(nu).value, origin_value(nu + 1.0).value
+    return _j(nu, x)[0], _j(nu + 1.0, x)[0]
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:

@@ -7,12 +7,13 @@ so no zero can hide there) and advances in unit steps; consecutive zeros of
 any cylinder function of order >= -1/2 are more than 2.8 apart beyond that
 point, so a unit step can never straddle two sign changes.  At high order
 J underflows to an exact zero below its first root; the scan steps over
-those points before it counts roots.
+those points before it counts roots.  A table asks the kernel for each
+(order, x) once.
 """
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Callable, Dict, List, Tuple
 
 from ..errors import ComputationError, require_count
 from .bessel_jy import bessel_j
@@ -20,13 +21,26 @@ from .order import check_order
 
 _STEP = 1.0
 
-
-def _j(nu: float, x: float) -> float:
-    return bessel_j(nu, x).value
+JValue = Callable[[float, float], float]
 
 
-def _j_prime(nu: float, x: float) -> float:
-    return (nu / x) * _j(nu, x) - _j(nu + 1.0, x)
+def _memo_j() -> JValue:
+    """J as a float of (order, x), asking bessel_j once per point.
+
+    One table's scan, bisections and Newton steps revisit points (a bracket
+    end, J_nu at the Newton point for the slope, a Newton cycle); the memo
+    lives only as long as the table's search.
+    """
+    values: Dict[Tuple[float, float], float] = {}
+
+    def j(order: float, x: float) -> float:
+        key = (order, x)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = bessel_j(order, x).value
+        return value
+
+    return j
 
 
 def _first_zero_floor(nu: float) -> float:
@@ -35,11 +49,11 @@ def _first_zero_floor(nu: float) -> float:
     return max(2.0 * math.sqrt(nu + 1.0) - 0.25 * _STEP, 0.9)
 
 
-def _refine(nu: float, lo: float, hi: float) -> float:
-    f_lo = _j(nu, lo)
+def _refine(j: JValue, nu: float, lo: float, hi: float) -> float:
+    f_lo = j(nu, lo)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        f_mid = _j(nu, mid)
+        f_mid = j(nu, mid)
         if f_mid == 0.0:
             lo = hi = mid
             break
@@ -51,17 +65,17 @@ def _refine(nu: float, lo: float, hi: float) -> float:
             break
     root = 0.5 * (lo + hi)
     for _ in range(60):
-        f = _j(nu, root)
-        fp = _j_prime(nu, root)
+        f = j(nu, root)
+        fp = (nu / root) * f - j(nu + 1.0, root)
         if fp == 0.0:
             break
         step = f / fp
         candidate = root - step
         if not lo <= candidate <= hi:
             # fall back to bisection inside the bracket
-            f_lo = _j(nu, lo)
+            f_lo = j(nu, lo)
             mid = 0.5 * (lo + hi)
-            if (f_lo > 0.0) != (_j(nu, mid) > 0.0):
+            if (f_lo > 0.0) != (j(nu, mid) > 0.0):
                 hi = mid
             else:
                 lo = mid
@@ -82,21 +96,22 @@ def bessel_j_zeros(nu: float, count: int) -> List[float]:
     count = require_count("zero count", count, 1)
     x = _first_zero_floor(nu)
     limit = x + (count + 2) * (math.pi + 3.0) + 2.0 * max(nu, 0.0) + 10.0 * count
-    f_prev = _j(nu, x)
+    j = _memo_j()
+    f_prev = j(nu, x)
     while f_prev == 0.0 and x < limit:
         # at high order J underflows to an exact zero below its first root
         x += _STEP
-        f_prev = _j(nu, x)
+        f_prev = j(nu, x)
     zeros: List[float] = []
     while x < limit:
         x_next = x + _STEP
-        f_next = _j(nu, x_next)
+        f_next = j(nu, x_next)
         if f_next == 0.0:
             zeros.append(x_next)
             x_next += 1e-9
-            f_next = _j(nu, x_next)
+            f_next = j(nu, x_next)
         elif (f_prev > 0.0) != (f_next > 0.0):
-            zeros.append(_refine(nu, x, x_next))
+            zeros.append(_refine(j, nu, x, x_next))
         if len(zeros) == count:
             return zeros
         x, f_prev = x_next, f_next

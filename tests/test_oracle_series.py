@@ -81,11 +81,9 @@ _MPMATH_CYLINDER = {
 }
 
 
-def _draw_order(rng, kind, function):
+def _draw_order(rng, kind):
     if kind == "integer":
-        # J and I have no reference at negative integer order
-        low = -2 if function in ("bessel_y", "bessel_k") else 0
-        return float(rng.randint(low, 50))
+        return float(rng.randint(-2, 50))
     if kind == "half_integer":
         return rng.randint(-3, 49) + 0.5
     if kind == "generic":
@@ -97,13 +95,24 @@ def test_claimed_digits_hold_against_mpmath_bessel_routines():
     rng = random.Random(19)
     kinds = ("integer", "half_integer", "generic", "negative")
     for function, kind, _ in itertools.product(_MPMATH_CYLINDER, kinds, range(2)):
-        nu = _draw_order(rng, kind, function)
+        nu = _draw_order(rng, kind)
         x = 10.0 ** rng.uniform(-3.0, math.log10(30.0))
         digits = rng.choice((15, 25, 33, 50))
         with mp.workdps(digits + 15):
             ref = series_reference(function, nu, x, digits)
             want = _MPMATH_CYLINDER[function](nu, x)
             assert abs(ref - want) <= mp.mpf(10) ** (1 - digits) * abs(want), (function, nu, x, digits)
+
+
+@pytest.mark.parametrize("function", ["bessel_j", "bessel_i"])
+@pytest.mark.parametrize("nu", [-1.0, -2.0, -5.0])
+def test_first_kind_at_negative_integer_order(function, nu):
+    # 1/Gamma(nu + 1) vanishes there; J_{-m} = (-1)^m J_m and I_{-m} = I_m
+    for x in (1e-3, 0.7, 1.0, 6.3, 29.5):
+        with mp.workdps(45):
+            ref = series_reference(function, nu, x, 30)
+            want = _MPMATH_CYLINDER[function](nu, x)
+            assert abs(ref - want) <= mp.mpf(10) ** -29 * abs(want), (nu, x)
 
 
 def test_a_ladder_whose_evaluations_never_agree_raises(monkeypatch):

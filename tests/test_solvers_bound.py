@@ -16,6 +16,7 @@ from radialqm.solvers import (
     infinite_well_spectrum,
     oscillator_spectrum,
 )
+from radialqm.solvers import rootfind
 from radialqm.specfun import bessel_j, bessel_j_zero
 
 
@@ -107,6 +108,45 @@ def test_finite_well_level_count_grows_with_depth(scales):
     assert len(deep) > len(shallow)
     eps = [lv.eps for lv, _ in deep]
     assert eps == sorted(eps, reverse=True)
+
+
+@pytest.mark.parametrize("n, V0", [
+    (0, 2.0), (2, 18.0), (2, 80.0), (5, 300.0), (9, 5000.0),
+    # J_nu underflows at small t: zero residuals there count as no level
+    (250, 50000.0), (300, 5000.0),
+])
+def test_cut_spectrum_is_the_head_of_the_full_one(scales, n, V0):
+    full = finite_well_bound_spectrum(Dimension(n), V0, 1.0, scales)
+    for L in sorted({1, 2, len(full) - 1, len(full), len(full) + 1, len(full) + 5} - {-1, 0}):
+        assert finite_well_bound_spectrum(Dimension(n), V0, 1.0, scales, levels=L) == full[:L], L
+
+
+def test_cut_spectrum_needs_a_positive_count(scales):
+    for bad in (0, -2, 1.5):
+        with pytest.raises(DomainError):
+            finite_well_bound_spectrum(Dimension(2), 18.0, 1.0, scales, levels=bad)
+
+
+def test_level_n_mode_bisects_n_roots(scales, monkeypatch):
+    bisected = []
+    real = rootfind.bisect
+
+    def counted(*args):
+        bisected.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rootfind, "bisect", counted)
+    full = finite_well_bound_spectrum(Dimension(2), 80.0, 1.0, scales)
+    assert len(full) == 4 and len(bisected) == 4
+    for N in (1, 2, 3, 4):
+        bisected.clear()
+        finite_well_bound_wavefunction(Dimension(2), 80.0, 1.0, N, scales)
+        assert len(bisected) == N
+    # past the last level the scan runs to its end, and the error names the full count
+    bisected.clear()
+    with pytest.raises(DomainError, match="well holds 4 bound levels, index 5 out of range"):
+        finite_well_bound_wavefunction(Dimension(2), 80.0, 1.0, 5, scales)
+    assert len(bisected) == 4
 
 
 def test_shell_bound_state_frozen_cases(scales):

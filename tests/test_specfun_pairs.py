@@ -3,6 +3,7 @@
 bessel_jy and scaled_bessel_k_pair share engine runs between orders nu
 and nu + 1; the solvers rely on every shared value (and its error
 estimate and overflow flag) being the bits a separate call gives.
+j_pair drops the estimates; its floats are the values bessel_j returns.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import pytest
 
 from radialqm.errors import DomainError
 from radialqm.specfun import bessel_j, bessel_y
-from radialqm.specfun.bessel_jy import bessel_jy
+from radialqm.specfun.bessel_jy import bessel_jy, j_pair
 from radialqm.specfun.bessel_ik import scaled_bessel_k, scaled_bessel_k_pair
 
 
@@ -81,6 +82,35 @@ def test_bessel_jy_needs_a_positive_argument():
         bessel_jy(0.5, 0.0)
     with pytest.raises(DomainError):
         bessel_jy(-0.75, 1.0)
+
+
+def _j_values(nu, x):
+    return bessel_j(nu, x).value, bessel_j(nu + 1.0, x).value
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_j_pair_equals_separate_calls(seed):
+    for nu, x in _jy_draws(seed, 150):
+        assert j_pair(nu, x) == _j_values(nu, x), (nu, x)
+
+
+def test_j_pair_at_the_regime_edges_and_the_origin():
+    for nu in (-0.5, 0.0, 0.5, 3.0, 7.5, 9.0):
+        edges = (2.0, 2.0 * math.sqrt(nu + 1.0), 2.0 * math.sqrt(nu + 2.0),
+                 _asym_edge(nu), _asym_edge(nu + 1.0))
+        for edge in edges:
+            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+                assert j_pair(nu, x) == _j_values(nu, x), (nu, x)
+        # J_{-1/2}(0) is unbounded: both sides give inf
+        assert j_pair(nu, 0.0) == _j_values(nu, 0.0), nu
+
+
+def test_j_pair_checks_its_arguments_as_bessel_j_does():
+    for nu, x in ((-0.75, 1.0), (0.5, -1.0), (math.nan, 1.0), (0.5, math.inf)):
+        with pytest.raises(DomainError):
+            bessel_j(nu, x)
+        with pytest.raises(DomainError):
+            j_pair(nu, x)
 
 
 def test_scaled_k_pair_equals_separate_calls():

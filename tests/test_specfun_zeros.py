@@ -8,7 +8,8 @@ import pytest
 
 from radialqm.errors import DomainError
 from radialqm.specfun import bessel_j, bessel_j_zero, bessel_j_zeros, bessel_y
-from radialqm.specfun.zeros import _STEP, _first_zero_floor, _j, _refine
+from radialqm.specfun import zeros
+from radialqm.specfun.zeros import _STEP, _first_zero_floor, _refine
 
 # the orders (n - 1)/2 of the dimensions the benchmark draws
 BENCH_ORDERS = [(n - 1) / 2.0 for n in (0, 1, 2, 3, 4, 5, 9, 25)]
@@ -16,6 +17,7 @@ BENCH_ORDERS = [(n - 1) / 2.0 for n in (0, 1, 2, 3, 4, 5, 9, 25)]
 
 def _rescanned_zero(nu, N):
     """The N-th zero by a fresh scan from the first zero, one scan per N."""
+    _j = lambda order, x: bessel_j(order, x).value
     x = _first_zero_floor(nu)
     f_prev = _j(nu, x)
     found = 0
@@ -31,7 +33,7 @@ def _rescanned_zero(nu, N):
         if (f_prev > 0.0) != (f_next > 0.0):
             found += 1
             if found == N:
-                return _refine(nu, x, x_next)
+                return _refine(_j, nu, x, x_next)
         x, f_prev = x_next, f_next
 
 
@@ -108,3 +110,36 @@ def test_zero_where_the_order_sweep_lands_on_a_zero(nu, N):
 def test_high_order_zeros_skip_the_underflowed_start(nu, N, want):
     # J underflows to an exact zero near 2 sqrt(nu + 1); that is no root
     assert bessel_j_zero(nu, N) == pytest.approx(want, rel=1e-14)
+
+
+class _Recorder:
+    """bessel_j that remembers every (order, x) it is asked for."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __call__(self, nu, x):
+        self.asked.append((nu, x))
+        return bessel_j(nu, x)
+
+
+@pytest.mark.parametrize("nu", BENCH_ORDERS)
+def test_a_table_asks_for_each_point_once(nu, monkeypatch):
+    recorder = _Recorder()
+    monkeypatch.setattr(zeros, "bessel_j", recorder)
+    table = bessel_j_zeros(nu, 60)
+    assert len(recorder.asked) == len(set(recorder.asked))
+    # the same search with every point asked again gives the same zeros
+    monkeypatch.setattr(zeros, "_memo_j", lambda: lambda order, x: bessel_j(order, x).value)
+    assert table == bessel_j_zeros(nu, 60)
+
+
+def test_kernel_calls_per_zero_over_the_bench_tables(monkeypatch):
+    recorder = _Recorder()
+    monkeypatch.setattr(zeros, "bessel_j", recorder)
+    counts = (1, 5, 13, 25)
+    for nu in BENCH_ORDERS:
+        for count in counts:
+            bessel_j_zeros(nu, count)
+    # 7,910 calls for 352 zeros; asking again at revisited points made 14,669
+    assert len(recorder.asked) / (len(BENCH_ORDERS) * sum(counts)) <= 23.0

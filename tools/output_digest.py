@@ -9,6 +9,10 @@ the one holding this file, or ``--root``):
   ``--format csv`` and once with ``--format json``;
 * ``validate`` at the default scales and at ``--mass`` 1.25, 2.0 and 0.5
   (where the report's finite well binds one level and the run exits 3);
+* a fixed set of finite wells: each full spectrum, the spectrum cut by
+  ``--levels`` below, at and past its level count, the last bound mode and
+  the mode one level past it (which exits 2); and zero tables of count 60
+  at the orders of the benchmark's n set;
 * ``--rounds`` rounds of the ``scan`` and ``solve`` generators of
   ``bench/workloads.py`` at each seed of ``--seeds``; the transmission
   operations are library calls, recorded as the ``repr`` of the result.
@@ -33,6 +37,11 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+# (n, V0, R) of the fixed finite wells: 1 to 46 levels, the last one past
+# the order where J underflows below its first zero
+WELLS = (("0", "2", "1"), ("1", "40", "1"), ("2", "80", "1"), ("4", "600", "1"),
+         ("9", "5000", "1"), ("25", "2000", "1"), ("250", "50000", "1"))
 
 
 def readme_examples(readme: Path) -> list:
@@ -79,6 +88,19 @@ def run_transmission(p: dict) -> dict:
     return {"transmission": p, "rc": rc, "out": out, "err": err}
 
 
+def well_records(cli):
+    """Cut spectra and edge modes of the fixed wells."""
+    for n, v0, radius in WELLS:
+        well = ["--problem", "finite-well", "--n", n, "--v0", v0, "--radius", radius]
+        full = run_cli(cli, ["spectrum"] + well + ["--format", "json"])
+        yield full
+        count = len(json.loads(full["out"])["rows"]) if full["rc"] == 0 else 0
+        for cut in sorted({1, count - 1, count, count + 1, count + 5} - {-1, 0}):
+            yield run_cli(cli, ["spectrum"] + well + ["--levels", str(cut)])
+        for level in sorted({count, count + 1} - {0}):
+            yield run_cli(cli, ["wavefunction"] + well + ["--level", str(level), "--samples", "7"])
+
+
 def records(root: Path, rounds: int, seeds: list):
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(0, str(root / "bench"))
@@ -95,6 +117,10 @@ def records(root: Path, rounds: int, seeds: list):
     yield run_cli(cli, ["validate"])
     for mass in ("1.25", "2.0", "0.5"):
         yield run_cli(cli, ["validate", "--mass", mass])
+    yield from well_records(cli)
+    for n in workloads.N_SET:
+        yield run_cli(cli, ["zeros", "--nu", workloads._num(workloads.nu_of(n)), "--count", "60",
+                            "--format", "json"])
     for seed in seeds:
         for workload in ("scan", "solve"):
             stream = workloads.rounds(workload, seed)
