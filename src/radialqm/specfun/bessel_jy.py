@@ -111,26 +111,27 @@ def _temme_y(mu: float, x: float):
 def _cf1(nu: float, x: float):
     """J'_nu/J_nu by continued fraction; also the sign of J_nu(x)."""
     f = nu / x
-    if abs(f) < _TINY:
+    if -_TINY < f < _TINY:
         f = _TINY
     b = 2.0 * nu / x
+    step = 2.0 / x
     c = f
     d = 0.0
     isign = 1
     for _ in range(_MAX_CF):
-        b += 2.0 / x
+        b += step
         d = b - d
-        if abs(d) < _TINY:
+        if -_TINY < d < _TINY:
             d = _TINY
         c = b - 1.0 / c
-        if abs(c) < _TINY:
+        if -_TINY < c < _TINY:
             c = _TINY
         d = 1.0 / d
         delta = c * d
         f *= delta
         if d < 0.0:
             isign = -isign
-        if abs(delta - 1.0) < 4e-16:
+        if -4e-16 < delta - 1.0 < 4e-16:
             return f, isign
     raise ComputationError("ratio continued fraction did not converge")
 
