@@ -13,6 +13,12 @@ Three regimes:
 * the large-argument amplitude-phase expansions once they converge to
   double precision, x >= max(60, (nu+1)^2/2 + 20).
 
+The pairs bessel_jy and j_pair, which an interface match needs at one
+argument, take orders nu and nu + 1 from one continued-fraction run in
+that regime: J_{nu+1} = (nu/x - J'_nu/J_nu) J_nu and Y_{nu+1} from the
+same upward recurrence as Y_nu (Steed's method).  Elsewhere each order
+runs alone.
+
 Everything is computed here from recurrences and series; no library Bessel
 routines are involved anywhere in the package.
 """
@@ -71,9 +77,10 @@ def _j_series(nu: float, x: float):
     return value, max(est, 5e-324 * len(terms))
 
 
-# bessel_jy runs the engine at orders nu and nu + 1, which share the base
-# order mu and so ask for the same (mu, x) twice in a row; _cf2 and
-# _temme_y are pure, so a one-entry memo answers the second call
+# orders nu and nu + 1 share the base order mu, so a caller that runs them
+# one after the other asks for the same (mu, x) twice in a row: the zero
+# search's J at both orders (_cf2) and the x <= 2 pair of bessel_jy
+# (_temme_y); both are pure, so a one-entry memo answers the second call
 @functools.lru_cache(maxsize=1)
 def _temme_y(mu: float, x: float):
     """(Y_mu, Y_{mu+1}) for |mu| <= 1/2 and 0 < x <= 2, by the small-x series."""
@@ -201,24 +208,15 @@ def _recur_y_up(mu: float, x: float, y0: float, y1: float, steps: int):
     return y0, y1
 
 
-def _engine(nu: float, x: float):
-    """(J, Y, est_j, est_y) for nu >= -1/2, x > 0; J is the value bessel_j returns."""
-    if _asym_region(nu, x):
-        j, y, est = _asym_single(nu, x)
-        return j, y, est, est
+def _cf_run(nu: float, x: float):
+    """(J_nu, J'_nu/J_nu, Y_mu, Y_{mu+1}) at the base order mu = nu - int(nu + 1/2).
 
+    For 2 < x below the asymptotic threshold of nu: the ratio continued
+    fraction at nu, the backward order sweep to mu, the outgoing continued
+    fraction at mu and the Wronskian.
+    """
     nl = int(nu + 0.5)
     mu = nu - nl
-
-    if x <= 2.0:
-        j, est_j = _j_series(nu, x)
-        y_mu, y_mu1 = _temme_y(mu, x)
-        y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, nl)
-        if not (math.isfinite(y) and math.isfinite(y_next)):
-            return j, math.inf, est_j, math.inf
-        return j, y, est_j, abs(y) * 1e-14 + abs(y_next) * 1e-15
-
-    # continued-fraction regime, 2 < x < asymptotic threshold
     f_nu, isign = _cf1(nu, x)
     rj = isign * _SEED
     rjp = f_nu * rj
@@ -248,18 +246,41 @@ def _engine(nu: float, x: float):
         y_mu = gam * j_mu
         yp_mu = q * j_mu + p * y_mu
         j_nu = j_mu * (isign * _SEED) * resc / rj
-    y_mu1 = (mu / x) * y_mu - yp_mu
+    return j_nu, f_nu, y_mu, (mu / x) * y_mu - yp_mu
 
+
+def _j_cf(nu: float, x: float, j: float):
+    """(J_nu, est_abs_error) from a continued-fraction value j, x > 2.
+
+    The ascending series is cleaner where it has no cancellation; there
+    its value replaces j.
+    """
     if _series_region(nu, x):
-        # the ascending series is cleaner for J there; keep its value
-        j_nu, est_j = _j_series(nu, x)
-    else:
-        est_j = abs(j_nu) * 1e-14
+        return _j_series(nu, x)
+    return j, abs(j) * 1e-14
 
+
+def _engine(nu: float, x: float):
+    """(J, Y, est_j, est_y) for nu >= -1/2, x > 0; J is the value bessel_j returns."""
+    if _asym_region(nu, x):
+        j, y, est = _asym_single(nu, x)
+        return j, y, est, est
+
+    nl = int(nu + 0.5)
+    mu = nu - nl
+    if x <= 2.0:
+        j, est_j = _j_series(nu, x)
+        y_mu, y_mu1 = _temme_y(mu, x)
+    else:
+        j, _, y_mu, y_mu1 = _cf_run(nu, x)
+        j, est_j = _j_cf(nu, x, j)
     y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, nl)
     if not (math.isfinite(y) and math.isfinite(y_next)):
-        return j_nu, math.inf, est_j, math.inf
-    return j_nu, y, est_j, abs(y) * 1e-14
+        return j, math.inf, est_j, math.inf
+    est_y = abs(y) * 1e-14
+    if x <= 2.0:
+        est_y += abs(y_next) * 1e-15
+    return j, y, est_j, est_y
 
 
 def _y_result(y: float, est_y: float) -> EvalResult:
@@ -285,15 +306,20 @@ def bessel_j(nu: float, x: float) -> EvalResult:
 
 
 def j_pair(nu: float, x: float) -> Tuple[float, float]:
-    """(J_nu(x), J_{nu+1}(x)) as the floats bessel_j returns, x >= 0.
+    """(J_nu(x), J_{nu+1}(x)) as floats, x >= 0: the J values of bessel_jy.
 
     For callers inside the package that drop the error estimate at once:
-    the arguments are checked once and no EvalResult is built.
+    the arguments are checked once and no EvalResult is built.  J_nu is
+    the value bessel_j returns; so is J_{nu+1}, except where both orders
+    come from one continued-fraction run, where it agrees to rounding.
     """
     nu, x = check_args("bessel_j", nu, x, origin=True)
     if x == 0.0:
         return origin_value(nu).value, origin_value(nu + 1.0).value
-    return _j(nu, x)[0], _j(nu + 1.0, x)[0]
+    if _series_region(nu, x) or _asym_region(nu, x):
+        return _j(nu, x)[0], _j(nu + 1.0, x)[0]
+    j0, f_nu, _, _ = _cf_run(nu, x)
+    return j0, _j_cf(nu + 1.0, x, (nu / x - f_nu) * j0)[0]
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
@@ -304,13 +330,35 @@ def bessel_y(nu: float, x: float) -> EvalResult:
 
 
 def bessel_jy(nu: float, x: float) -> Tuple[EvalResult, EvalResult, EvalResult, EvalResult]:
-    """(J_nu, J_{nu+1}, Y_nu, Y_{nu+1}) at x > 0 from one engine run per order.
+    """(J_nu, J_{nu+1}, Y_nu, Y_{nu+1}) at x > 0; a match at one argument needs all four.
 
-    Each result equals its own bessel_j or bessel_y call, value and
-    estimate alike; a match at one argument needs all four.
+    For 2 < x below the asymptotic threshold of nu, one continued-fraction
+    run gives both orders; J_{nu+1} keeps the series value where
+    x^2 <= 4(nu+2), as bessel_j does.  Elsewhere, the seam where only
+    (nu + 1, x) falls short of the asymptotic regime included, the engine
+    runs once per order.  J_nu and Y_nu equal their own bessel_j and
+    bessel_y calls, value and estimate alike, and so do the nu + 1 results
+    outside the one-run regime; inside it they agree to rounding, with the
+    same overflow flag.
     """
     nu, x = check_args("bessel_jy", nu, x, origin=False)
-    j0, y0, est_j0, est_y0 = _engine(nu, x)
-    j1, y1, est_j1, est_y1 = _engine(nu + 1.0, x)
+    if x <= 2.0 or _asym_region(nu, x):
+        j0, y0, est_j0, est_y0 = _engine(nu, x)
+        j1, y1, est_j1, est_y1 = _engine(nu + 1.0, x)
+    else:
+        nl = int(nu + 0.5)
+        mu = nu - nl
+        j0, f_nu, y_mu, y_mu1 = _cf_run(nu, x)
+        j1, est_j1 = _j_cf(nu + 1.0, x, (nu / x - f_nu) * j0)
+        j0, est_j0 = _j_cf(nu, x, j0)
+        y0, y1 = _recur_y_up(mu, x, y_mu, y_mu1, nl)
+        y2 = (2.0 * (mu + (nl + 1)) / x) * y1 - y0
+        # as bessel_y does: Y_nu counts as out of range once Y_{nu+1} is,
+        # and Y_{nu+1} once Y_{nu+2} is
+        if not math.isfinite(y1):
+            y0 = math.inf
+        if not math.isfinite(y2):
+            y1 = math.inf
+        est_y0, est_y1 = abs(y0) * 1e-14, abs(y1) * 1e-14
     return (EvalResult(j0, est_j0), EvalResult(j1, est_j1),
             _y_result(y0, est_y0), _y_result(y1, est_y1))

@@ -9,7 +9,7 @@ from radialqm.errors import DomainError
 from radialqm.radial import Dimension
 from radialqm.radial.quadrature import integrate
 from radialqm.solvers import closure_check
-from radialqm.specfun import bessel_j
+from radialqm.specfun.bessel_jy import j_pair
 
 
 def test_diagonal_recovers_unit_mass():
@@ -55,19 +55,16 @@ def test_probe_validation():
 
 
 def _probe_with_calls_per_node(nu, k, k_prime, r_max, sigma):
-    """The probe with every Bessel value its own bessel_j call at every node."""
+    """The probe with one j_pair call per Bessel argument at every node."""
 
     def overlap(k1, k2):
         mean = 0.5 * (k1 + k2)
         if abs(k1 - k2) <= 1e-7 * mean:
             x = mean * r_max
-            j0 = bessel_j(nu, x).value
-            j1 = bessel_j(nu + 1.0, x).value
+            j0, j1 = j_pair(nu, x)
             return 0.5 * r_max * r_max * (j0 * j0 + j1 * j1 - 2.0 * nu * j0 * j1 / x)
-        ja0 = bessel_j(nu, k1 * r_max).value
-        ja1 = bessel_j(nu + 1.0, k1 * r_max).value
-        jb0 = bessel_j(nu, k2 * r_max).value
-        jb1 = bessel_j(nu + 1.0, k2 * r_max).value
+        ja0, ja1 = j_pair(nu, k1 * r_max)
+        jb0, jb1 = j_pair(nu, k2 * r_max)
         return r_max * (k1 * ja1 * jb0 - k2 * ja0 * jb1) / (k1 * k1 - k2 * k2)
 
     def smeared(k_fix, center):

@@ -1,9 +1,16 @@
-"""The pair kernels return exactly what separate calls return.
+"""The pair kernels against separate calls.
 
-bessel_jy and scaled_bessel_k_pair share engine runs between orders nu
-and nu + 1; the solvers rely on every shared value (and its error
-estimate and overflow flag) being the bits a separate call gives.
-j_pair drops the estimates; its floats are the values bessel_j returns.
+scaled_bessel_k_pair shares engine runs between orders nu and nu + 1 and
+returns exactly what separate calls return.  bessel_jy and j_pair take
+both orders from one continued-fraction run where 2 < x is below the
+asymptotic threshold of nu: J_{nu+1} from the ratio J'_nu/J_nu and Y_{nu+1}
+from the same upward recurrence as Y_nu.  There J_nu and Y_nu are still
+the bits separate calls give, the nu + 1 values agree with separate calls
+to rounding, and the pair satisfies the Wronskian more tightly than two
+runs do.  In the series and asymptotic regimes, and at the seam where
+(nu, x) is asymptotic but (nu + 1, x) is not, every order runs alone and
+all four results are the bits of separate calls.  j_pair drops the
+estimates; its floats are the J values of bessel_jy.
 """
 from __future__ import annotations
 
@@ -20,6 +27,16 @@ from radialqm.specfun.bessel_ik import scaled_bessel_k, scaled_bessel_k_pair
 
 def _asym_edge(nu):
     return max(60.0, 0.5 * (nu + 1.0) ** 2 + 20.0)
+
+
+def _one_run(nu, x):
+    """True where the pairs take both orders from one continued-fraction run."""
+    return 2.0 < x < _asym_edge(nu)
+
+
+def _series_j(nu, x):
+    """True where J_nu is the ascending-series value."""
+    return x <= 2.0 or x * x <= 4.0 * (nu + 1.0)
 
 
 def _jy_draws(seed, count):
@@ -48,33 +65,66 @@ def _jy_draws(seed, count):
     return draws
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_bessel_jy_equals_separate_calls(seed):
-    for nu, x in _jy_draws(seed, 150):
-        got = bessel_jy(nu, x)
-        want = (bessel_j(nu, x), bessel_j(nu + 1.0, x),
-                bessel_y(nu, x), bessel_y(nu + 1.0, x))
+def _separate(nu, x):
+    return (bessel_j(nu, x), bessel_j(nu + 1.0, x),
+            bessel_y(nu, x), bessel_y(nu + 1.0, x))
+
+
+def _check_bessel_jy(nu, x):
+    got = bessel_jy(nu, x)
+    want = _separate(nu, x)
+    # J_nu and Y_nu, value and estimate, in every regime
+    assert (got[0], got[2]) == (want[0], want[2]), (nu, x)
+    if not _one_run(nu, x):
         assert got == want, (nu, x)
+        return
+    if _series_j(nu + 1.0, x):
+        assert got[1] == want[1], (nu, x)
+    assert got[3].is_finite == want[3].is_finite, (nu, x)
+    if not want[3].is_finite:
+        return
+    scale = math.hypot(want[1].value, want[3].value)
+    for g, w in ((got[1], want[1]), (got[3], want[3])):
+        assert abs(g.value - w.value) <= 1e-13 * scale, (nu, x)
+        # both estimates are 1e-14 of their value
+        assert abs(g.est_abs_error - w.est_abs_error) <= 1e-27 * scale, (nu, x)
+    if not _series_j(nu, x):
+        # all four from one run: J_{nu+1} Y_nu - J_nu Y_{nu+1} = 2/(pi x)
+        j0, j1, y0, y1 = (r.value for r in got)
+        w = 2.0 / (math.pi * x)
+        assert abs(j1 * y0 - j0 * y1 - w) <= 4e-15 * w, (nu, x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bessel_jy_against_separate_calls(seed):
+    for nu, x in _jy_draws(seed, 150):
+        _check_bessel_jy(nu, x)
+
+
+def _regime_edges(nu):
+    edges = (2.0, 2.0 * math.sqrt(nu + 1.0), 2.0 * math.sqrt(nu + 2.0),
+             _asym_edge(nu), _asym_edge(nu + 1.0))
+    for edge in edges:
+        yield from (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
 
 
 def test_bessel_jy_at_the_regime_edges():
     for nu in (-0.5, 0.0, 0.5, 3.0, 7.5, 9.0):
-        edges = (2.0, 2.0 * math.sqrt(nu + 1.0), 2.0 * math.sqrt(nu + 2.0),
-                 _asym_edge(nu), _asym_edge(nu + 1.0))
-        for edge in edges:
-            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
-                want = (bessel_j(nu, x), bessel_j(nu + 1.0, x),
-                        bessel_y(nu, x), bessel_y(nu + 1.0, x))
-                assert bessel_jy(nu, x) == want, (nu, x)
+        for x in _regime_edges(nu):
+            _check_bessel_jy(nu, x)
 
 
 def test_bessel_jy_carries_the_overflow_flag_of_y():
-    # Y_{nu+1} leaves the double range first
-    for nu, x in ((150.5, 1e-2), (160.0, 0.5), (300.5, 1.0)):
+    # Y_{nu+1} leaves the double range first; separate calls flag Y_nu once
+    # Y_{nu+1} overflows, and Y_{nu+1} once Y_{nu+2} does
+    for nu, x in ((150.5, 1e-2), (160.0, 0.5), (300.5, 1.0), (178.0, 2.5), (185.0, 3.0)):
         got = bessel_jy(nu, x)
-        assert got == (bessel_j(nu, x), bessel_j(nu + 1.0, x),
-                       bessel_y(nu, x), bessel_y(nu + 1.0, x))
+        assert (got[0], got[2]) == (bessel_j(nu, x), bessel_y(nu, x))
+        assert got[3] == bessel_y(nu + 1.0, x)
         assert got[3].est_abs_error == math.inf
+    got = bessel_jy(179.0, 2.5)
+    assert got[2] == bessel_y(179.0, 2.5) and got[2].est_abs_error == math.inf
+    assert got[3] == bessel_y(180.0, 2.5)
 
 
 def test_bessel_jy_needs_a_positive_argument():
@@ -84,25 +134,27 @@ def test_bessel_jy_needs_a_positive_argument():
         bessel_jy(-0.75, 1.0)
 
 
-def _j_values(nu, x):
-    return bessel_j(nu, x).value, bessel_j(nu + 1.0, x).value
+def _check_j_pair(nu, x):
+    got = j_pair(nu, x)
+    jy = bessel_jy(nu, x)
+    assert got == (jy[0].value, jy[1].value), (nu, x)
+    assert got[0] == bessel_j(nu, x).value, (nu, x)
+    if _series_j(nu, x) or not _one_run(nu, x):
+        assert got[1] == bessel_j(nu + 1.0, x).value, (nu, x)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_j_pair_equals_separate_calls(seed):
+def test_j_pair_against_bessel_jy_and_separate_calls(seed):
     for nu, x in _jy_draws(seed, 150):
-        assert j_pair(nu, x) == _j_values(nu, x), (nu, x)
+        _check_j_pair(nu, x)
 
 
 def test_j_pair_at_the_regime_edges_and_the_origin():
     for nu in (-0.5, 0.0, 0.5, 3.0, 7.5, 9.0):
-        edges = (2.0, 2.0 * math.sqrt(nu + 1.0), 2.0 * math.sqrt(nu + 2.0),
-                 _asym_edge(nu), _asym_edge(nu + 1.0))
-        for edge in edges:
-            for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
-                assert j_pair(nu, x) == _j_values(nu, x), (nu, x)
+        for x in _regime_edges(nu):
+            _check_j_pair(nu, x)
         # J_{-1/2}(0) is unbounded: both sides give inf
-        assert j_pair(nu, 0.0) == _j_values(nu, 0.0), nu
+        assert j_pair(nu, 0.0) == (bessel_j(nu, 0.0).value, bessel_j(nu + 1.0, 0.0).value), nu
 
 
 def test_j_pair_checks_its_arguments_as_bessel_j_does():

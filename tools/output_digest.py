@@ -31,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import shlex
 import sys
@@ -132,13 +133,75 @@ def records(root: Path, rounds: int, seeds: list):
                         yield run_transmission(op["p"])
 
 
+# a number as the CLI prints it: CSV, JSON, repr and messages alike
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
+
+
+def _label(record: dict) -> str:
+    if "argv" in record:
+        return shlex.join(record["argv"])
+    return "transmission " + json.dumps(record["transmission"], sort_keys=True)
+
+
+def _relative_change(old: str, new: str) -> float:
+    a, b = float(old), float(new)
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def record_change(old: dict, new: dict):
+    """(relative change, old, new) of the number that moved most; None for changed text."""
+    worst = (0.0, "", "")
+    for key in ("rc", "out", "err"):
+        a, b = str(old[key]), str(new[key])
+        if NUMBER.sub("#", a) != NUMBER.sub("#", b):
+            return None
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+            worst = max(worst, (_relative_change(x, y), x, y))
+    return worst
+
+
+def diff(old_path: Path, new_path: Path) -> int:
+    """Print the changed records of two record files; 1 if their operations differ."""
+    with open(old_path) as f:
+        old = [json.loads(line) for line in f]
+    with open(new_path) as f:
+        new = [json.loads(line) for line in f]
+    if len(old) != len(new) or any(_label(a) != _label(b) for a, b in zip(old, new)):
+        print("the two files record different operations; rerun with the same --rounds and --seeds")
+        return 1
+    changed = text = 0
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        changed += 1
+        change = record_change(a, b)
+        if change is None:
+            text += 1
+            print(f"{'text':>9}  {_label(a)}")
+        else:
+            worst = max(worst, change[0])
+            print(f"{change[0]:9.2e}  {_label(a)}  ({change[1]} -> {change[2]})")
+    print(f"{changed} of {len(old)} records changed, {text} in their text; "
+          f"largest relative change of a number {worst:.2e}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=HERE, help="checkout to run (default: this one)")
     parser.add_argument("--rounds", type=int, default=4, help="generator rounds per workload and seed")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--out", type=Path, default=Path("output_digest.jsonl"), help="record file")
+    parser.add_argument("--diff", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two record files instead of writing one")
     args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
 
     digest = hashlib.sha256()
     count = 0
