@@ -260,6 +260,31 @@ def _j_cf(nu: float, x: float, j: float):
     return j, abs(j) * 1e-14
 
 
+def _j_pair_cf(nu: float, x: float):
+    """((J_nu, est), (J_{nu+1}, est), Y_mu, Y_{mu+1}) from one _cf_run at nu.
+
+    J_{nu+1} = (nu/x - J'_nu/J_nu) J_nu (DLMF 10.6.2); each order keeps
+    its series value where the series is clean.
+    """
+    j, f_nu, y_mu, y_mu1 = _cf_run(nu, x)
+    return _j_cf(nu, x, j), _j_cf(nu + 1.0, x, (nu / x - f_nu) * j), y_mu, y_mu1
+
+
+def _y_up(mu: float, x: float, y_mu: float, y_mu1: float, steps: int):
+    """(Y_{mu+steps}, est_abs_error) by the upward recurrence from Y_mu, Y_{mu+1}.
+
+    (inf, inf), the flag of an out-of-range value, once Y_{mu+steps+1}
+    overflows.
+    """
+    y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, steps)
+    if not (math.isfinite(y) and math.isfinite(y_next)):
+        return math.inf, math.inf
+    est_y = abs(y) * 1e-14
+    if x <= 2.0:
+        est_y += abs(y_next) * 1e-15
+    return y, est_y
+
+
 def _engine(nu: float, x: float):
     """(J, Y, est_j, est_y) for nu >= -1/2, x > 0; J is the value bessel_j returns."""
     if _asym_region(nu, x):
@@ -274,12 +299,7 @@ def _engine(nu: float, x: float):
     else:
         j, _, y_mu, y_mu1 = _cf_run(nu, x)
         j, est_j = _j_cf(nu, x, j)
-    y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, nl)
-    if not (math.isfinite(y) and math.isfinite(y_next)):
-        return j, math.inf, est_j, math.inf
-    est_y = abs(y) * 1e-14
-    if x <= 2.0:
-        est_y += abs(y_next) * 1e-15
+    y, est_y = _y_up(mu, x, y_mu, y_mu1, nl)
     return j, y, est_j, est_y
 
 
@@ -316,10 +336,12 @@ def j_pair(nu: float, x: float) -> Tuple[float, float]:
     nu, x = check_args("bessel_j", nu, x, origin=True)
     if x == 0.0:
         return origin_value(nu).value, origin_value(nu + 1.0).value
+    # unlike bessel_jy, which needs Y there, no continued fraction runs
+    # where the series gives both orders
     if _series_region(nu, x) or _asym_region(nu, x):
         return _j(nu, x)[0], _j(nu + 1.0, x)[0]
-    j0, f_nu, _, _ = _cf_run(nu, x)
-    return j0, _j_cf(nu + 1.0, x, (nu / x - f_nu) * j0)[0]
+    (j0, _), (j1, _), _, _ = _j_pair_cf(nu, x)
+    return j0, j1
 
 
 def bessel_y(nu: float, x: float) -> EvalResult:
@@ -348,17 +370,8 @@ def bessel_jy(nu: float, x: float) -> Tuple[EvalResult, EvalResult, EvalResult, 
     else:
         nl = int(nu + 0.5)
         mu = nu - nl
-        j0, f_nu, y_mu, y_mu1 = _cf_run(nu, x)
-        j1, est_j1 = _j_cf(nu + 1.0, x, (nu / x - f_nu) * j0)
-        j0, est_j0 = _j_cf(nu, x, j0)
-        y0, y1 = _recur_y_up(mu, x, y_mu, y_mu1, nl)
-        y2 = (2.0 * (mu + (nl + 1)) / x) * y1 - y0
-        # as bessel_y does: Y_nu counts as out of range once Y_{nu+1} is,
-        # and Y_{nu+1} once Y_{nu+2} is
-        if not math.isfinite(y1):
-            y0 = math.inf
-        if not math.isfinite(y2):
-            y1 = math.inf
-        est_y0, est_y1 = abs(y0) * 1e-14, abs(y1) * 1e-14
+        (j0, est_j0), (j1, est_j1), y_mu, y_mu1 = _j_pair_cf(nu, x)
+        y0, est_y0 = _y_up(mu, x, y_mu, y_mu1, nl)
+        y1, est_y1 = _y_up(mu, x, y_mu, y_mu1, nl + 1)
     return (EvalResult(j0, est_j0), EvalResult(j1, est_j1),
             _y_result(y0, est_y0), _y_result(y1, est_y1))

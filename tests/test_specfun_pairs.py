@@ -119,7 +119,7 @@ def test_bessel_jy_carries_the_overflow_flag_of_y():
     # Y_{nu+1} overflows, and Y_{nu+1} once Y_{nu+2} does
     for nu, x in ((150.5, 1e-2), (160.0, 0.5), (300.5, 1.0), (178.0, 2.5), (185.0, 3.0)):
         got = bessel_jy(nu, x)
-        assert (got[0], got[2]) == (bessel_j(nu, x), bessel_y(nu, x))
+        assert (got[0], got[1], got[2]) == (bessel_j(nu, x), bessel_j(nu + 1.0, x), bessel_y(nu, x))
         assert got[3] == bessel_y(nu + 1.0, x)
         assert got[3].est_abs_error == math.inf
     got = bessel_jy(179.0, 2.5)
