@@ -199,15 +199,6 @@ def _asym_single(nu: float, x: float):
     return j, y, est
 
 
-def _recur_y_up(mu: float, x: float, y0: float, y1: float, steps: int):
-    """(Y_{mu+steps}, Y_{mu+steps+1}) by the stable upward recurrence."""
-    for m in range(1, steps + 1):
-        y0, y1 = y1, (2.0 * (mu + m) / x) * y1 - y0
-        if not math.isfinite(y1):
-            return y0, y1
-    return y0, y1
-
-
 def _cf_run(nu: float, x: float):
     """(J_nu, J'_nu/J_nu, Y_mu, Y_{mu+1}) at the base order mu = nu - int(nu + 1/2).
 
@@ -271,12 +262,16 @@ def _j_pair_cf(nu: float, x: float):
 
 
 def _y_up(mu: float, x: float, y_mu: float, y_mu1: float, steps: int):
-    """(Y_{mu+steps}, est_abs_error) by the upward recurrence from Y_mu, Y_{mu+1}.
+    """(Y_{mu+steps}, est_abs_error) by the stable upward recurrence from Y_mu, Y_{mu+1}.
 
     (inf, inf), the flag of an out-of-range value, once Y_{mu+steps+1}
     overflows.
     """
-    y, y_next = _recur_y_up(mu, x, y_mu, y_mu1, steps)
+    y, y_next = y_mu, y_mu1
+    for m in range(1, steps + 1):
+        y, y_next = y_next, (2.0 * (mu + m) / x) * y_next - y
+        if not math.isfinite(y_next):
+            return math.inf, math.inf
     if not (math.isfinite(y) and math.isfinite(y_next)):
         return math.inf, math.inf
     est_y = abs(y) * 1e-14
