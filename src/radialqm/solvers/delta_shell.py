@@ -1,11 +1,9 @@
 """Contact shell at radius R: single bound level and stationary scattering.
 
-The bound level solves a product condition between the two modified
-cylinder functions evaluated on the shell; the product decreases from
-its small-argument supremum, so for positive order a level exists only
-when the coupling-radius product exceeds twice the order.  Scattering
-solves the two-condition interface system (continuity plus slope jump)
-for the interior and outgoing amplitudes with a unit incoming wave.
+The bound level solves 1/(I_nu K_nu) = gamma R at x = kappa R in ratio form; the
+left side rises from 2 max(nu, 0) at x = 0, so one bracket holds the level when
+gamma R exceeds that.  Scattering solves the interface system (continuity plus
+slope jump) for the interior and outgoing amplitudes of a unit incoming wave.
 """
 from __future__ import annotations
 
@@ -24,26 +22,13 @@ from ..radial import (
     RadialWaveFunction,
 )
 from ..radial.norms import normalize
-from ..specfun.bessel_ik import bessel_i, bessel_k, scaled_bessel_i, scaled_bessel_k
+from ..specfun.bessel_ik import bessel_i, bessel_k, ik_reciprocal_rise
 from ..specfun.bessel_jy import bessel_jy
 from .interface import solve_interface
 from .results import ScatteringResult, TranscendentalRoot
-from .rootfind import log_grid, scan_roots
+from .rootfind import bisect
 
-_EULER = 0.5772156649015329
 _COEFF_LIMIT = 650.0
-
-
-def _ik_product(nu: float, x: float) -> float:
-    """I_nu(x) K_nu(x) without overflow at large argument."""
-    if x <= 600.0:
-        product = bessel_i(nu, x).value * bessel_k(nu, x).value
-    else:
-        product = scaled_bessel_i(nu, x).value * scaled_bessel_k(nu, x).value
-    if not math.isfinite(product):
-        # at high order I underflows where K overflows
-        raise ComputationError(f"I K product leaves the double range at order {nu}, x = {x:.3g}")
-    return product
 
 
 def delta_bound_energy(
@@ -52,42 +37,31 @@ def delta_bound_energy(
     """The unique attractive-shell level, or None below the coupling threshold.
 
     Only nu > 0 has a threshold, gamma R <= 2 nu.  Every other coupling
-    binds, and a level too shallow for doubles raises ComputationError.
+    binds, and a level outside the double range raises ComputationError.
     """
     gamma = require_positive("shell coupling", gamma)
     R = require_positive("shell radius", R)
     nu = dim.nu
     gr = gamma * R
-    if nu > 0.0 and gr <= 2.0 * nu:
+    if not gr < math.inf:
+        raise ComputationError("the coupling times the radius leaves the double range")
+    # both sides of 1/(I K) = gamma R less the x -> 0 limit of the left
+    rise = gr - 2.0 * max(nu, 0.0)
+    if nu > 0.0 and rise <= 0.0:
         return None
-    target = 1.0 / gr
-    f = lambda x: _ik_product(nu, x) - target
-
-    x_lo = 1e-8
-    if nu == 0.0:
-        # product grows only logarithmically, so tiny couplings root far down
-        x_lo = min(x_lo, 0.2 * 2.0 * math.exp(-_EULER - target))
-    elif nu < 0.0:
-        x_lo = min(x_lo, 0.02 * gr)
-    x_lo = max(x_lo, 1e-300)
-    x_hi = 0.75 * gr + 10.0
-    # the product decreases for every order >= -1/2, so 8 samples per decade
-    # bracket the one crossing; index bisection then finds its 512-per-decade cell
-    found = scan_roots(f, log_grid(x_lo, x_hi, 512), stride=64)
-    if not found:
-        # a level exists here (nu <= 0, or gamma R above 2 nu) but lies below the scan
-        edge = ", at the edge of the double range" if x_lo == 1e-300 else ""
-        raise ComputationError(f"the shell level lies below kappa R = {x_lo:.3g}{edge}")
-    if len(found) > 1:
-        raise ComputationError("shell product condition crossed more than once")
-    x, fx, (xa, xb) = found[0]
-    eps_mag = (x / R) ** 2
-    if eps_mag < sys.float_info.min:
-        raise ComputationError(
-            f"the shell level kappa R = {x:.3g} squares below the double range"
-        )
-    bracket = tuple(sorted(((xa / R) ** 2, (xb / R) ** 2)))
-    root = TranscendentalRoot(eps=eps_mag, residual=fx, bracket=bracket)
+    f = lambda x: ik_reciprocal_rise(nu, x) - rise
+    lo, hi = 1e-300, 0.75 * gr + 10.0
+    f_lo = f(lo)
+    if f_lo >= 0.0:
+        raise ComputationError("the shell level is below kappa R = 1e-300, outside the double range")
+    _, _, (ta, tb) = bisect(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), f_lo, f(hi))
+    xa, xb = math.exp(ta), math.exp(tb)
+    x, fx, (xa, xb) = bisect(f, xa, xb, f(xa), f(xb))
+    square = lambda v: (v / R) * (v / R)
+    eps_mag = square(x)
+    if not sys.float_info.min <= eps_mag < math.inf:
+        raise ComputationError(f"the shell level at kappa R = {x:.3g} leaves the double range")
+    root = TranscendentalRoot(eps=eps_mag, residual=fx, bracket=(square(xa), square(xb)))
     return EnergyLevel.bound_magnitude(1, -eps_mag, scales), root
 
 

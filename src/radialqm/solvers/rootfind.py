@@ -23,37 +23,17 @@ from ..errors import ComputationError, DomainError, require_count
 RootRecord = Tuple[float, float, Tuple[float, float]]
 
 _MIN_CELLS = 64
-# A turn toward zero smaller than this, relative to the sample, is rounding
-# noise on a flat residual (the shell product near x = 0), not a dip.
-_TURN_NOISE = 1e-9
 
 
-class LogGrid(Sequence[float]):
-    """Geometric grid lo * exp(i * step) for i < count, then hi; items made on demand."""
-
-    def __init__(self, lo: float, hi: float, count: int) -> None:
-        self._lo = lo
-        self._hi = hi
-        self._count = count
-        self._step = math.log(hi / lo) / count
-
-    def __len__(self) -> int:
-        return self._count + 1
-
-    def __getitem__(self, i: int) -> float:
-        if i < 0:
-            i += len(self)
-        if not 0 <= i <= self._count:
-            raise IndexError("log grid index out of range")
-        return self._hi if i == self._count else self._lo * math.exp(i * self._step)
-
-
-def log_grid(lo: float, hi: float, per_decade: int) -> LogGrid:
+def log_grid(lo: float, hi: float, per_decade: int) -> List[float]:
     """Geometric grid from lo to hi with at least per_decade points per decade."""
     if not (0.0 < lo < hi):
         raise DomainError(f"log grid needs 0 < lo < hi, got {lo!r}, {hi!r}")
-    span = math.log10(hi / lo)
-    return LogGrid(lo, hi, max(int(math.ceil(span * per_decade)), 8))
+    count = max(int(math.ceil(math.log10(hi / lo) * per_decade)), 8)
+    step = math.log(hi / lo) / count
+    grid = [lo * math.exp(i * step) for i in range(count)]
+    grid.append(hi)
+    return grid
 
 
 def uniform_grid(lo: float, hi: float, max_step: float) -> List[float]:
@@ -129,7 +109,7 @@ def iter_roots(
         here = values[samples[j]]
         near = [values[samples[k]] for k in (j - 1, j + 1) if 0 <= k < len(samples)]
         rise = [abs(v) - abs(here) if (v > 0.0) == (here > 0.0) else 0.0 for v in near]
-        if here == 0.0 or min(rise, default=0.0) <= _TURN_NOISE * abs(here):
+        if here == 0.0 or min(rise, default=0.0) <= 0.0:
             return None
         g = lambda i: value(i) if here > 0.0 else -value(i)
         lo, hi = samples[max(j - 1, 0)], samples[min(j + 1, len(samples) - 1)]

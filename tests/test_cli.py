@@ -168,6 +168,15 @@ def test_shell_level_below_the_double_range_exits_3():
     assert "double range" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ("spectrum", "wavefunction"))
+def test_shell_level_above_the_double_range_exits_3(command):
+    # kappa R = 5e299 is a double, its square is not
+    code, out, err = run_cli([command, "--problem", "delta-shell", "--n", "2",
+                              "--gamma", "1e300", "--radius", "1"])
+    assert code == 3 and out == ""
+    assert "leaves the double range" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("n, radius, gamma", [(25, "0.900246", "928.375"), (1, "1", "900")])
 def test_strongly_bound_shell_mode_matches_mpmath(n, radius, gamma):
     # the squared interface coefficient (about 1e193 at gamma = 900) leaves the double range

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -171,14 +172,43 @@ def test_shell_threshold_is_sharp(scales):
     assert weak[0].eps == pytest.approx(0.05874673350544825, rel=1e-9)
 
 
+def _mp_shell_eps(n, gr, start, dps):
+    """kappa^2 R^2 at the root of I_nu K_nu = 1/(gamma R), at dps digits.
+
+    1/(I_nu K_nu) is monotone in x, so the start only sets the speed.
+    """
+    with mpmath.workdps(dps):
+        nu, target = mpmath.mpf(n - 1) / 2, mpmath.mpf(gr)
+        x = mpmath.findroot(
+            lambda t: 1 / (mpmath.besseli(nu, t) * mpmath.besselk(nu, t)) - target,
+            mpmath.mpf(start))
+        return x * x
+
+
+def _assert_shell_level_matches_mpmath(n, gr, scales):
+    lv, _ = delta_bound_energy(Dimension(n), gr, 1.0, scales)
+    want = _mp_shell_eps(n, gr, math.sqrt(lv.eps), 80)
+    assert abs(_mp_shell_eps(n, gr, math.sqrt(lv.eps), 40) - want) < 1e-30 * want
+    # gamma R is exact; its distance to 2 nu bounds how well eps is conditioned
+    nu = 0.5 * (n - 1)
+    delta = gr / (2.0 * nu) - 1.0 if nu > 0 else math.inf
+    assert abs(lv.eps - want) <= (1e-15 + 4e-16 / delta) * want, (n, gr, lv.eps)
+    return lv
+
+
 def test_shell_level_beyond_the_double_range_is_an_error(scales):
     # nu <= 0 always binds; these levels sit below the smallest doubles
     for n, gamma in ((1, 0.001), (1, 0.0015), (1, 0.002), (0, 1e-305)):
         with pytest.raises(ComputationError, match="double range"):
             delta_bound_energy(Dimension(n), gamma, 1.0, scales)
-    # just above the n = 2 threshold the level is shallower than the scan reaches
-    with pytest.raises(ComputationError, match="below kappa R = 1e-08"):
-        delta_bound_energy(Dimension(2), 1.0 + 1e-10, 1.0, scales)
+    # kappa R ~ 5e299 squares to inf; gamma R = 1e310 is inf itself; gamma R = 1e-600
+    # underflows to 0, where nu = 0 still binds
+    for n, gamma, R in ((2, 1e300, 1.0), (2, 1e300, 1e10), (1, 1e-300, 1e-300)):
+        with pytest.raises(ComputationError, match="double range"):
+            delta_bound_energy(Dimension(n), gamma, R, scales)
+    # just above the n = 2 threshold the level is shallow but in range, kappa R ~ 1e-10
+    lv = _assert_shell_level_matches_mpmath(2, 1.0 + 1e-10, scales)
+    assert 1e-21 < lv.eps < 1e-19
     # a weak n = 1 coupling still in range: kappa R = 2 exp(-euler - 1/(gamma R))
     lv, _ = delta_bound_energy(Dimension(1), 0.005, 1.0, scales)
     kappa = 2.0 * math.exp(-0.5772156649015329 - 200.0)
@@ -189,8 +219,8 @@ def test_high_order_underflow_is_no_level(scales):
     # J_nu underflows at small t for nu = 149.5: a zero residual there is no root,
     # and Q = 100 lies below the first zero of J_nu, so no level binds
     assert finite_well_bound_spectrum(Dimension(300), 5000.0, 1.0, scales) == []
-    with pytest.raises(ComputationError, match="double range"):
-        delta_bound_energy(Dimension(300), 2000.0, 1.0, scales)
+    # the shell level at nu = 149.5, where I_nu underflows and K_nu overflows
+    _assert_shell_level_matches_mpmath(300, 2000.0, scales)
     # at n = 250 the first level binds and its mode builds; r^(-nu) overflows only near 0
     psi = finite_well_bound_wavefunction(Dimension(250), 50000.0, 1.0, 1, scales)
     with mpmath.workdps(30):
@@ -210,6 +240,35 @@ def test_high_order_underflow_is_no_level(scales):
             assert psi.sample(r) == pytest.approx(want, rel=1e-11)
     with pytest.raises(ComputationError, match="double range"):
         psi.sample(0.001)
+
+
+# beyond the reach of the product scan that solved the shell before the
+# ratio form: nu = 33, 33.5 and 124.5
+@pytest.mark.parametrize("n, gr", ((67, 70.0), (67, 66.5), (68, 80.0), (250, 300.0)))
+def test_high_order_shell_level_matches_mpmath(n, gr, scales):
+    _assert_shell_level_matches_mpmath(n, gr, scales)
+
+
+@pytest.mark.parametrize("n", (2, 50))
+def test_shell_level_matches_mpmath_at_the_product_expansion_seam(n, scales):
+    # kappa R just below and just above x = max(25, 2 nu)
+    seam = max(25.0, n - 1.0)
+    for side in (1.0 - 1e-9, 1.0 + 1e-9):
+        x = seam * side
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(n - 1) / 2
+            gr = float(1 / (mpmath.besseli(nu, x) * mpmath.besselk(nu, x)))
+        lv = _assert_shell_level_matches_mpmath(n, gr, scales)
+        assert (math.sqrt(lv.eps) < seam) == (side < 1.0)
+
+
+def test_shell_levels_near_threshold_match_mpmath(scales):
+    # seeded draws up to n = 250, a relative 1e-10 to 1e-1 above gamma R = 2 nu
+    rng = random.Random(20141)
+    for _ in range(12):
+        n = rng.randint(2, 250)
+        gr = (n - 1.0) * (1.0 + 10.0 ** rng.uniform(-10.0, -1.0))
+        _assert_shell_level_matches_mpmath(n, gr, scales)
 
 
 def test_shell_coupling_validation(scales):

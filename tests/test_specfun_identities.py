@@ -18,7 +18,7 @@ from radialqm.specfun import (
     kummer_u,
     laguerre,
 )
-from radialqm.specfun.bessel_ik import scaled_bessel_i, scaled_bessel_k
+from radialqm.specfun.bessel_ik import ik_reciprocal_rise, scaled_bessel_i, scaled_bessel_k
 
 # contract grid for the Wronskian suites
 WRONSKIAN_NUS = (0.0, 0.5, 1.0, 2.5)
@@ -67,14 +67,15 @@ def test_half_integer_closed_forms():
 
 
 # regime seams of the kernels: the series edge, the series reach of J,
-# the K trapezoid-to-asymptotic switch, and the J/Y asymptotic edge at
-# orders nu and nu + 1
+# the K trapezoid-to-asymptotic switch, the J/Y asymptotic edge at
+# orders nu and nu + 1, and the I K product expansion's edge
 KERNEL_SEAMS = (
     lambda nu: 2.0,
     lambda nu: 2.0 * math.sqrt(nu + 1.0),
     lambda nu: 20.0,
     lambda nu: max(60.0, 0.5 * (nu + 1.0) ** 2 + 20.0),
     lambda nu: max(60.0, 0.5 * (nu + 2.0) ** 2 + 20.0),
+    lambda nu: max(25.0, 2.0 * nu),
 )
 
 
@@ -102,9 +103,13 @@ def test_cross_wronskian_cylinder_at_the_seams(point):
 def test_cross_wronskian_modified_at_the_seams(point):
     # in the e^{-x} I and e^{x} K forms, as I alone overflows past x ~ 700
     nu, x = point
-    lhs = (scaled_bessel_i(nu, x).value * scaled_bessel_k(nu + 1.0, x).value
-           + scaled_bessel_i(nu + 1.0, x).value * scaled_bessel_k(nu, x).value)
+    i0, k0 = scaled_bessel_i(nu, x).value, scaled_bessel_k(nu, x).value
+    lhs = (i0 * scaled_bessel_k(nu + 1.0, x).value
+           + scaled_bessel_i(nu + 1.0, x).value * k0)
     assert abs(lhs - 1.0 / x) <= 1e-12 / x
+    # the same identity in ratio form: F = x (K_{nu+1}/K_nu + I_{nu+1}/I_nu) = 1/(I_nu K_nu)
+    f = ik_reciprocal_rise(nu, x) + 2.0 * max(nu, 0.0)
+    assert abs(f * i0 * k0 - 1.0) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

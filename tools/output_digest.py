@@ -11,8 +11,9 @@ the one holding this file, or ``--root``):
   (where the report's finite well binds one level and the run exits 3);
 * a fixed set of finite wells: each full spectrum, the spectrum cut by
   ``--levels`` below, at and past its level count, the last bound mode and
-  the mode one level past it (which exits 2); and zero tables of count 60
-  at the orders of the benchmark's n set;
+  the mode one level past it (which exits 2); zero tables of count 60
+  at the orders of the benchmark's n set; and a fixed set of shells, each
+  as a spectrum and a mode;
 * ``--rounds`` rounds of the ``scan`` and ``solve`` generators of
   ``bench/workloads.py`` at each seed of ``--seeds``; the transmission
   operations are library calls, recorded as the ``repr`` of the result.
@@ -43,6 +44,12 @@ HERE = Path(__file__).resolve().parent.parent
 # the order where J underflows below its first zero
 WELLS = (("0", "2", "1"), ("1", "40", "1"), ("2", "80", "1"), ("4", "600", "1"),
          ("9", "5000", "1"), ("25", "2000", "1"), ("250", "50000", "1"))
+
+# (n, gamma, R) of the fixed shells: orders 33 to 124.5, where I_nu underflows
+# and K_nu overflows, two a relative 1e-6 above gamma R = 2 nu, and a level
+# whose square leaves the double range (exits 3)
+SHELLS = (("67", "70", "1"), ("67", "66.5", "1"), ("68", "80", "1"), ("250", "300", "1"),
+          ("67", "66.000066", "1"), ("250", "249.000249", "1"), ("2", "1e300", "1"))
 
 
 def readme_examples(readme: Path) -> list:
@@ -102,6 +109,14 @@ def well_records(cli):
             yield run_cli(cli, ["wavefunction"] + well + ["--level", str(level), "--samples", "7"])
 
 
+def shell_records(cli):
+    """Spectrum and mode of the fixed shells."""
+    for n, gamma, radius in SHELLS:
+        shell = ["--problem", "delta-shell", "--n", n, "--gamma", gamma, "--radius", radius]
+        yield run_cli(cli, ["spectrum"] + shell + ["--format", "json"])
+        yield run_cli(cli, ["wavefunction"] + shell + ["--samples", "7"])
+
+
 def records(root: Path, rounds: int, seeds: list):
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(0, str(root / "bench"))
@@ -122,6 +137,7 @@ def records(root: Path, rounds: int, seeds: list):
     for n in workloads.N_SET:
         yield run_cli(cli, ["zeros", "--nu", workloads._num(workloads.nu_of(n)), "--count", "60",
                             "--format", "json"])
+    yield from shell_records(cli)
     for seed in seeds:
         for workload in ("scan", "solve"):
             stream = workloads.rounds(workload, seed)
