@@ -148,7 +148,6 @@ def test_shell_level_costs_few_product_evaluations(monkeypatch, scales):
         calls.append(x)
         return rise(nu, x)
 
-    # the reciprocal of the product I K, as ratios
     monkeypatch.setattr(delta_shell, "ik_reciprocal_rise", counted)
     for n, gr in ((2, 6.0), (0, 50.0), (1, 4.0), (5, 400.0), (3, 2.1), (250, 300.0)):
         calls.clear()
