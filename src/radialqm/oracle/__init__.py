@@ -8,7 +8,7 @@ bare amplitudes, never a solver record.
 """
 
 from .fd import Grid, fd_bound_spectrum, fd_scattering, shooting_bound_levels
-from .fixtures import ReferenceRow, load_reference_table, write_reference_table
+from .fixtures import ReferenceRow, load_reference_table
 from .report import OracleReport, validation_report
 from .series import SeriesDomainError, series_reference
 
@@ -17,7 +17,6 @@ __all__ = [
     "SeriesDomainError",
     "ReferenceRow",
     "load_reference_table",
-    "write_reference_table",
     "Grid",
     "fd_bound_spectrum",
     "fd_scattering",

@@ -14,10 +14,14 @@ Three regimes:
   double precision, x >= max(60, (nu+1)^2/2 + 20).
 
 The pairs bessel_jy and j_pair, which an interface match needs at one
-argument, take orders nu and nu + 1 from one continued-fraction run in
-that regime: J_{nu+1} = (nu/x - J'_nu/J_nu) J_nu and Y_{nu+1} from the
-same upward recurrence as Y_nu (Steed's method).  Elsewhere each order
-runs alone.
+argument, share work between orders nu and nu + 1.  Where (nu + 1, x) is
+asymptotic, so is (nu, x): one call runs the expansion loop for both
+orders with one argument check and one amplitude sqrt(2/(pi x)), and
+gives the bits of separate calls.  For 2 < x below the asymptotic
+threshold of nu, one continued-fraction run gives both orders:
+J_{nu+1} = (nu/x - J'_nu/J_nu) J_nu and Y_{nu+1} from the same upward
+recurrence as Y_nu (Steed's method).  Elsewhere, the seam where only
+(nu, x) is asymptotic included, each order runs alone.
 
 Everything is computed here from recurrences and series; no library Bessel
 routines are involved anywhere in the package.
@@ -169,34 +173,59 @@ def _cf2(mu: float, x: float):
     raise ComputationError("outgoing continued fraction did not converge")
 
 
-def _asym_single(nu: float, x: float):
-    """(J_nu, Y_nu, est) from the amplitude-phase expansion; x in asym region."""
+# term k of the amplitude-phase expansion (DLMF 10.17.3-4) is the term
+# before it times (4 nu^2 - (2k - 1)^2)/(8k x); odd k enter Q, even k enter
+# P, with the signs +, -, -, + of k mod 4 = 1, 2, 3, 0: (8k, sign, k odd)
+_ASYM_K = tuple((8.0 * k, 1.0 if k % 4 in (0, 1) else -1.0, k % 2) for k in range(1, 40))
+
+
+# the order sets the numerators, so a pair or a quadrature that returns to
+# the same orders builds each order's table once
+@functools.lru_cache(maxsize=16)
+def _asym_table(nu: float):
+    """(4 nu^2 - (2k - 1)^2, 8k, sign, k odd) for the terms k = 1, ..., 39."""
     mu4 = 4.0 * nu * nu
-    t = 1.0
-    p_sum = 1.0
+    return tuple((mu4 - (2.0 * k - 1.0) ** 2, *rest) for k, rest in enumerate(_ASYM_K, 1))
+
+
+def _asym_sums(nu: float, x: float):
+    """(P, Q, last, t, chi) of the expansion at (nu, x) in the asym region.
+
+    The sums stop before the first term that does not shrink or after one
+    below 1e-17; last is the size of the last term taken, t the term the
+    loop ended on, and chi = x - (nu/2 + 1/4) pi the phase.
+    """
+    t = p_sum = last = 1.0
     q_sum = 0.0
-    last = 1.0
-    for k in range(1, 40):
-        t *= (mu4 - (2.0 * k - 1.0) ** 2) / (8.0 * k * x)
-        if abs(t) >= last:
+    for num, eight_k, sign, odd in _asym_table(nu):
+        t *= num / (eight_k * x)
+        size = abs(t)
+        if size >= last:
             break
-        last = abs(t)
-        quarter = k % 4
-        signed = t if quarter in (0, 1) else -t
-        if k % 2 == 0:
-            p_sum += signed
+        last = size
+        if odd:
+            q_sum += sign * t
         else:
-            q_sum += signed
-        if abs(t) < 1e-17:
+            p_sum += sign * t
+        if size < 1e-17:
             break
-    chi = x - (0.5 * nu + 0.25) * math.pi
+    return p_sum, q_sum, last, t, x - (0.5 * nu + 0.25) * math.pi
+
+
+def _asym_jy(nu: float, x: float, amp: float):
+    """(J_nu, Y_nu, est, est) from the expansion; amp = sqrt(2/(pi x))."""
+    p_sum, q_sum, last, t, chi = _asym_sums(nu, x)
     cos_chi = math.cos(chi)
     sin_chi = math.sin(chi)
-    amp = math.sqrt(2.0 / (math.pi * x))
-    j = amp * (p_sum * cos_chi - q_sum * sin_chi)
-    y = amp * (p_sum * sin_chi + q_sum * cos_chi)
     est = amp * (last * 1e-16 + abs(t) + 1.2e-16 * x)
-    return j, y, est
+    return (amp * (p_sum * cos_chi - q_sum * sin_chi), amp * (p_sum * sin_chi + q_sum * cos_chi),
+            est, est)
+
+
+def _asym_j(nu: float, x: float, amp: float) -> float:
+    """J_nu alone from the expansion, the value _asym_jy gives."""
+    p_sum, q_sum, _, _, chi = _asym_sums(nu, x)
+    return amp * (p_sum * math.cos(chi) - q_sum * math.sin(chi))
 
 
 def _cf_run(nu: float, x: float):
@@ -283,8 +312,7 @@ def _y_up(mu: float, x: float, y_mu: float, y_mu1: float, steps: int):
 def _engine(nu: float, x: float):
     """(J, Y, est_j, est_y) for nu >= -1/2, x > 0; J is the value bessel_j returns."""
     if _asym_region(nu, x):
-        j, y, est = _asym_single(nu, x)
-        return j, y, est, est
+        return _asym_jy(nu, x, math.sqrt(2.0 / (math.pi * x)))
 
     nl = int(nu + 0.5)
     mu = nu - nl
@@ -324,13 +352,19 @@ def j_pair(nu: float, x: float) -> Tuple[float, float]:
     """(J_nu(x), J_{nu+1}(x)) as floats, x >= 0: the J values of bessel_jy.
 
     For callers inside the package that drop the error estimate at once:
-    the arguments are checked once and no EvalResult is built.  J_nu is
-    the value bessel_j returns; so is J_{nu+1}, except where both orders
-    come from one continued-fraction run, where it agrees to rounding.
+    the arguments are checked once and no EvalResult is built.  Where
+    (nu + 1, x) is asymptotic, both orders run the expansion loop in this
+    call and neither Y nor an estimate is formed.  J_nu is the value
+    bessel_j returns; so is J_{nu+1}, except where both orders come from
+    one continued-fraction run, where it agrees to rounding.
     """
     nu, x = check_args("bessel_j", nu, x, origin=True)
     if x == 0.0:
         return origin_value(nu).value, origin_value(nu + 1.0).value
+    if _asym_region(nu + 1.0, x):
+        amp = math.sqrt(2.0 / (math.pi * x))
+        return _asym_j(nu, x, amp), _asym_j(nu + 1.0, x, amp)
+    # at the seam, where only (nu, x) is asymptotic, each order runs alone;
     # unlike bessel_jy, which needs Y there, no continued fraction runs
     # where the series gives both orders
     if _series_region(nu, x) or _asym_region(nu, x):
@@ -349,17 +383,22 @@ def bessel_y(nu: float, x: float) -> EvalResult:
 def bessel_jy(nu: float, x: float) -> Tuple[EvalResult, EvalResult, EvalResult, EvalResult]:
     """(J_nu, J_{nu+1}, Y_nu, Y_{nu+1}) at x > 0; a match at one argument needs all four.
 
-    For 2 < x below the asymptotic threshold of nu, one continued-fraction
-    run gives both orders; J_{nu+1} keeps the series value where
-    x^2 <= 4(nu+2), as bessel_j does.  Elsewhere, the seam where only
-    (nu + 1, x) falls short of the asymptotic regime included, the engine
-    runs once per order.  J_nu and Y_nu equal their own bessel_j and
-    bessel_y calls, value and estimate alike, and so do the nu + 1 results
-    outside the one-run regime; inside it they agree to rounding, with the
-    same overflow flag.
+    Where (nu + 1, x) is asymptotic, both orders run the expansion loop
+    here with one shared amplitude.  For 2 < x below the asymptotic
+    threshold of nu, one continued-fraction run gives both orders; J_{nu+1}
+    keeps the series value where x^2 <= 4(nu+2), as bessel_j does.
+    Elsewhere, for x <= 2 and at the seam where only (nu + 1, x) falls
+    short of the asymptotic regime, the engine runs once per order.  J_nu
+    and Y_nu equal their own bessel_j and bessel_y calls, value and
+    estimate alike, and so do the nu + 1 results outside the one-run
+    regime; inside it they agree to rounding, with the same overflow flag.
     """
     nu, x = check_args("bessel_jy", nu, x, origin=False)
-    if x <= 2.0 or _asym_region(nu, x):
+    if _asym_region(nu + 1.0, x):
+        amp = math.sqrt(2.0 / (math.pi * x))
+        j0, y0, est_j0, est_y0 = _asym_jy(nu, x, amp)
+        j1, y1, est_j1, est_y1 = _asym_jy(nu + 1.0, x, amp)
+    elif x <= 2.0 or _asym_region(nu, x):
         j0, y0, est_j0, est_y0 = _engine(nu, x)
         j1, y1, est_j1, est_y1 = _engine(nu + 1.0, x)
     else:

@@ -1,10 +1,11 @@
 """Arbitrary-precision series oracle and the reference-table plumbing."""
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
-import os
 import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -14,10 +15,11 @@ from radialqm.oracle import (
     load_reference_table,
     series,
     series_reference,
-    write_reference_table,
 )
 
 from .conftest import FIXTURE_DIR
+
+_WRITER = Path(__file__).resolve().parent.parent / "tools" / "write_kernel_fixture.py"
 
 
 def test_values_are_stable_under_extra_digits():
@@ -61,14 +63,15 @@ def test_domain_errors():
 
 
 def test_reference_table_round_trips(tmp_path):
+    spec = importlib.util.spec_from_file_location("write_kernel_fixture", _WRITER)
+    writer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(writer)
     target = tmp_path / "reference.txt"
-    write_reference_table(str(target))
-    fresh = load_reference_table(str(target))
-    frozen = load_reference_table(os.path.join(FIXTURE_DIR, "specfun_reference.txt"))
-    assert len(fresh) == len(frozen)
-    for a, b in zip(fresh, frozen):
-        assert (a.function, a.nu, a.x) == (b.function, b.nu, b.x)
-        assert a.value_str == b.value_str
+    count = writer.write_reference_table(str(target))
+    # the tool regenerates the committed table byte for byte
+    frozen = Path(FIXTURE_DIR) / "specfun_reference.txt"
+    assert target.read_bytes() == frozen.read_bytes()
+    assert len(load_reference_table(str(target))) == count
 
 
 # mpmath's own routines, which the oracle must not call, serve here as an

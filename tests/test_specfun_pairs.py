@@ -7,9 +7,12 @@ asymptotic threshold of nu: J_{nu+1} from the ratio J'_nu/J_nu and Y_{nu+1}
 from the same upward recurrence as Y_nu.  There J_nu and Y_nu are still
 the bits separate calls give, the nu + 1 values agree with separate calls
 to rounding, and the pair satisfies the Wronskian more tightly than two
-runs do.  In the series and asymptotic regimes, and at the seam where
-(nu, x) is asymptotic but (nu + 1, x) is not, every order runs alone and
-all four results are the bits of separate calls.  j_pair drops the
+runs do.  Where (nu + 1, x) is asymptotic, one pair call runs the
+expansion loop for both orders, with each order's memoized term table
+and one shared amplitude; in the series regime, and at the seam where
+(nu, x) is asymptotic but (nu + 1, x) is not, every order runs alone.
+In all of these all four results are the bits of separate calls, and
+the asymptotic values are pinned to their bits.  j_pair drops the
 estimates; its floats are the J values of bessel_jy.
 """
 from __future__ import annotations
@@ -163,6 +166,56 @@ def test_j_pair_checks_its_arguments_as_bessel_j_does():
             bessel_j(nu, x)
         with pytest.raises(DomainError):
             j_pair(nu, x)
+
+
+def _bits(*results):
+    return tuple((r.value.hex(), r.est_abs_error.hex()) for r in results)
+
+
+def test_asymptotic_pairs_equal_separate_calls_bit_for_bit():
+    # the orders and arguments of the closure probe and the scan's
+    # asymptotic band, with the orders interleaved so that a term table
+    # served for the wrong order would show
+    rng = random.Random(26)
+    for _ in range(600):
+        nu = 0.5 * (rng.choice((0, 1, 2, 3, 4, 5, 9, 25)) - 1)
+        lo = _asym_edge(nu + 1.0)
+        x = lo * (3000.0 / lo) ** rng.random()
+        want = _separate(nu, x)
+        assert _bits(*bessel_jy(nu, x)) == _bits(*want), (nu, x)
+        got = j_pair(nu, x)
+        assert (got[0].hex(), got[1].hex()) == (want[0].value.hex(), want[1].value.hex()), (nu, x)
+
+
+# (nu, x, J_nu, Y_nu, est) of the amplitude-phase expansion, as float.hex;
+# bessel_j and bessel_y both carry est
+_ASYM_BITS = (
+    (-0.5, 60.0, "-0x1.91d637839f613p-4", "-0x1.01353f9e9a752p-5", "0x1.ab87b36069a9ap-51"),
+    (0.0, 60.0, "-0x1.76ab23711926bp-4", "0x1.83f6ebdd3278cp-5", "0x1.ab9ceaa07ad20p-51"),
+    (0.5, 60.0, "-0x1.01353f9e9a73ap-5", "0x1.91d637839f616p-4", "0x1.ab87b36069a9ap-51"),
+    (1.0, 60.0, "0x1.7dbbe4c935819p-5", "0x1.784c447bd685dp-4", "0x1.ab9ec2e8d55b1p-51"),
+    (1.5, 60.0, "0x1.8fb181a6914b5p-4", "0x1.0e9a417852f56p-5", "0x1.ab87b36069a9ap-51"),
+    (2.0, 60.0, "0x1.7d07deb8b7e83p-4", "-0x1.6ae0c52a46508p-5", "0x1.aba559a218b24p-51"),
+    (4.0, 60.0, "-0x1.8d93c5b07b10bp-4", "0x1.1d33013f4e210p-5", "0x1.abda3932f8104p-51"),
+    (12.0, 104.5, "-0x1.ddcd13ab054ecp-5", "-0x1.ac1509e435d1ap-5", "0x1.1a23880b6a6c9p-50"),
+    (-0.5, 1116.289, "-0x1.972448b200bf9p-7", "-0x1.4e2320ade8e67p-6", "0x1.cd05040bd3726p-49"),
+    (0.0, 132.624, "0x1.1a17a45a58808p-4", "-0x1.eefca420d9a4dp-8", "0x1.3dda086080a4cp-50"),
+    (0.5, 133.878, "0x1.0850b7d8599f3p-4", "0x1.8e5542e321f06p-6", "0x1.3f4ff3a940b37p-50"),
+    (1.0, 629.245, "0x1.2652eccc699d3p-8", "-0x1.01f509af7d72fp-5", "0x1.5a21b00ccf27fp-49"),
+    (1.5, 74.917, "-0x1.51080a5a82451p-4", "0x1.549a1fa1c3783p-5", "0x1.ddba85738437bp-51"),
+    (2.0, 1250.576, "-0x1.38d96ab62a809p-6", "0x1.89d48e5b6bd03p-7", "0x1.e7f68c01b4d59p-49"),
+    (4.0, 1193.611, "0x1.a9eade51f6d72p-7", "-0x1.38c37bc8fa570p-6", "0x1.dcbb21b0dc076p-49"),
+    (12.0, 120.218, "0x1.db9b2d169f839p-5", "0x1.69e1519d2b5bbp-5", "0x1.2e966d5d8c935p-50"),
+    (0.0, 869.398, "0x1.0cdc6f1ae2e32p-10", "0x1.bb09139f95da3p-6", "0x1.96dc6063fb338p-49"),
+    (1.0, 428.832, "0x1.c0d0b4a56ee13p-6", "-0x1.bbece9cbd606ep-6", "0x1.1dbf1c6fc1ce7p-49"),
+    (-0.5, 720.694, "-0x1.21372df31a44dp-7", "-0x1.d0fb9eb468521p-6", "0x1.726e28b6c2becp-49"),
+    (12.0, 2568.403, "-0x1.2604b28fbf8ecp-7", "-0x1.a7e91d371d1ecp-7", "0x1.5da6e891248d8p-48"),
+)
+
+
+@pytest.mark.parametrize("nu, x, j, y, est", _ASYM_BITS)
+def test_asymptotic_values_keep_their_bits(nu, x, j, y, est):
+    assert _bits(bessel_j(nu, x), bessel_y(nu, x)) == ((j, est), (y, est))
 
 
 def test_scaled_k_pair_equals_separate_calls():
